@@ -264,7 +264,7 @@ impl SynthesisEngine {
     /// Internally the batch is a thin client of a private
     /// [`SynthesisService`](crate::SynthesisService): the requests are
     /// submitted in order to a queue drained by `batch_workers` job slots,
-    /// so they also share the service's worker pool and cache-snapshot
+    /// so they also share the service's connection pool and cache-snapshot
     /// store (transparently — results are bit-identical to standalone
     /// runs).
     pub fn synthesize_batch_observed(

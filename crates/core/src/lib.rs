@@ -70,8 +70,8 @@
 //!
 //! For sweep-shaped workloads (power sweeps, model zoos, objective grids),
 //! [`SynthesisService`] runs as a long-lived daemon: a bounded FIFO job
-//! queue drained by concurrent job slots, whose jobs share one subprocess
-//! worker pool (leased and re-sessioned per job) and one warm
+//! queue drained by concurrent job slots, whose jobs share one remote
+//! worker connection pool (leased and re-sessioned per job) and one warm
 //! evaluation-cache snapshot store. [`serve`] exposes it over a versioned
 //! JSON-lines TCP protocol (`pimsyn serve` / `pimsyn submit|status|result|
 //! cancel|shutdown` on the CLI); [`ServiceClient`] speaks that protocol.
@@ -114,8 +114,8 @@ pub use service::{
 pub use summary::SynthesisSummary;
 pub use synthesis::{SynthesisResult, Synthesizer};
 pub use worker::{
-    run_worker, run_worker_stdio, run_worker_with, serve_workers, serve_workers_in_background,
-    stop_worker_server, FaultInjection, WorkerServeConfig, WorkerServeHandle,
+    serve_workers, serve_workers_in_background, stop_worker_server, FaultInjection,
+    WorkerServeConfig, WorkerServeHandle,
 };
 
 // Re-export the vocabulary types users need at the API boundary.

@@ -82,7 +82,7 @@ pub struct SynthesisOptions {
     /// [`SynthesisEvent::EvaluatorStats`](crate::SynthesisEvent::EvaluatorStats).
     pub eval_cache: EvalCacheConfig,
     /// Evaluation backend: where candidate scoring runs (inline by default,
-    /// a thread pool, or `pimsyn --worker` subprocesses) plus the optional
+    /// or remote `pimsyn worker-serve` daemons) plus the optional
     /// persistent cache file that warm-starts repeated runs. Every backend
     /// produces bit-identical results; only wall-clock differs.
     pub backend: EvalBackendConfig,
@@ -207,7 +207,7 @@ impl SynthesisOptions {
         self
     }
 
-    /// Selects the evaluation backend (inline, thread pool, subprocess).
+    /// Selects the evaluation backend (inline or remote).
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
         self.backend.kind = kind;
         self
@@ -217,13 +217,6 @@ impl SynthesisOptions {
     /// fingerprint matches the run) before the search, rewritten after it.
     pub fn with_eval_cache_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.backend.cache_file = Some(path.into());
-        self
-    }
-
-    /// Overrides the subprocess worker executable (tests and embeddings;
-    /// the CLI defaults to its own binary).
-    pub fn with_worker_command(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.backend.worker_command = Some(path.into());
         self
     }
 
@@ -304,12 +297,15 @@ mod tests {
 
     #[test]
     fn backend_options_lower_to_dse_config_and_budget() {
+        let remote = BackendKind::Remote {
+            endpoints: vec!["127.0.0.1:7801".to_string()],
+        };
         let o = SynthesisOptions::fast(Watts(8.0))
-            .with_backend(BackendKind::Subprocess { workers: 2 })
+            .with_backend(remote.clone())
             .with_eval_cache_file("/tmp/pimsyn-cache.json")
             .with_max_unique_evaluations(10);
         let cfg = o.to_dse_config();
-        assert_eq!(cfg.backend.kind, BackendKind::Subprocess { workers: 2 });
+        assert_eq!(cfg.backend.kind, remote);
         assert_eq!(
             cfg.backend.cache_file.as_deref(),
             Some(std::path::Path::new("/tmp/pimsyn-cache.json"))

@@ -1,5 +1,5 @@
-//! The long-lived [`SynthesisService`]: a multi-job queue over a shared
-//! worker pool.
+//! The long-lived [`SynthesisService`]: a multi-job queue over shared
+//! evaluation resources.
 //!
 //! Where a [`SynthesisEngine`](crate::SynthesisEngine) models one ephemeral
 //! run (or one throwaway batch), the service models a *daemon*: clients
@@ -8,8 +8,8 @@
 //! [`SchedulingPolicy`] (global FIFO by default; weighted deficit
 //! round-robin across [`TenantPolicy`] lanes for multi-tenant front ends
 //! such as the HTTP gateway), and every job shares the service's
-//! process-wide resources — one `pimsyn --worker` subprocess pool (leased
-//! and re-sessioned per job instead of spawned per run) and one in-memory
+//! process-wide resources — one remote worker connection pool (leased and
+//! re-sessioned per job instead of dialed per run) and one in-memory
 //! evaluation-cache snapshot store (so jobs with the same fingerprint
 //! warm-start each other without touching the cache file). Sharing is
 //! transparent: results are bit-identical to standalone runs. (One caveat,
@@ -485,7 +485,7 @@ impl Inner {
                 // has always had for pre-cancelled jobs.
                 Some(work) if !job.cancel.is_cancelled() => {
                     let JobWork { mut request, sink } = work;
-                    // Every job shares the service's worker pool and
+                    // Every job shares the service's connection pool and
                     // snapshot store unless the request brought its own.
                     if request.options.backend.shared.is_none() {
                         request.options.backend.shared = Some(Arc::clone(&self.shared));
@@ -521,10 +521,10 @@ impl Inner {
 ///
 /// [`submit`](Self::submit) enqueues a [`SynthesisRequest`] and returns a
 /// [`JobHandle`] (or [`ServiceError::QueueFull`] — it never blocks); jobs
-/// share one subprocess worker pool and one in-memory evaluation-cache
-/// snapshot store through [`SharedEvalResources`], so N jobs spawn at most
-/// the pool width of workers and same-fingerprint jobs warm-start each
-/// other. Sharing is transparent: results are bit-identical to standalone
+/// share one remote worker connection pool and one in-memory
+/// evaluation-cache snapshot store through [`SharedEvalResources`], so N
+/// jobs dial each worker slot at most once and same-fingerprint jobs
+/// warm-start each other. Sharing is transparent: results are bit-identical to standalone
 /// runs. [`serve`] exposes a service over TCP; [`ServiceClient`] is the
 /// matching client (see `docs/PROTOCOLS.md` for the wire format).
 pub struct SynthesisService {
@@ -589,16 +589,9 @@ impl SynthesisService {
     }
 
     /// The shared evaluation resources every job of this service leases
-    /// from (worker pool, snapshot store).
+    /// from (remote connection pool, snapshot store).
     pub fn shared_resources(&self) -> Arc<SharedEvalResources> {
         Arc::clone(&self.inner.shared)
-    }
-
-    /// Worker processes spawned by the service's shared pool so far. N jobs
-    /// through a service spawn at most the configured pool width of
-    /// workers, not N × width.
-    pub fn worker_spawns(&self) -> usize {
-        self.inner.shared.worker_spawns()
     }
 
     /// Jobs currently waiting in the queue (excluding running ones).

@@ -15,10 +15,10 @@
 //!
 //! ```text
 //! > {"type":"announce","pimsyn_registry":1,"addr":"10.0.0.5:7801",
-//!    "slots":8,"proto_max":2}                          (or +"token":"…")
+//!    "slots":8}                                        (or +"token":"…")
 //! < {"type":"registered","pimsyn_registry":1,"interval_s":2}
 //! > {"type":"heartbeat","pimsyn_registry":1,"addr":"10.0.0.5:7801",
-//!    "slots":8,"proto_max":2}                          (no reply)
+//!    "slots":8}                                        (no reply)
 //! > {"type":"drain","pimsyn_registry":1,"addr":"10.0.0.5:7801"}
 //! < {"type":"bye","pimsyn_registry":1}
 //! ```
@@ -68,16 +68,10 @@ fn registry_line(kind: &str, fields: Vec<(String, JsonValue)>) -> String {
     JsonValue::Object(all).to_string()
 }
 
-fn worker_fields(
-    addr: &str,
-    slots: usize,
-    proto_max: u32,
-    token: Option<&str>,
-) -> Vec<(String, JsonValue)> {
+fn worker_fields(addr: &str, slots: usize, token: Option<&str>) -> Vec<(String, JsonValue)> {
     let mut fields = vec![
         ("addr".to_string(), JsonValue::String(addr.to_string())),
         ("slots".to_string(), JsonValue::Number(slots as f64)),
-        ("proto_max".to_string(), JsonValue::Number(proto_max as f64)),
     ];
     if let Some(token) = token {
         fields.push(("token".into(), JsonValue::String(token.to_string())));
@@ -86,14 +80,14 @@ fn worker_fields(
 }
 
 /// The `announce` line a worker daemon registers itself with.
-pub fn announce_line(addr: &str, slots: usize, proto_max: u32, token: Option<&str>) -> String {
-    registry_line("announce", worker_fields(addr, slots, proto_max, token))
+pub fn announce_line(addr: &str, slots: usize, token: Option<&str>) -> String {
+    registry_line("announce", worker_fields(addr, slots, token))
 }
 
 /// A periodic `heartbeat` line (same payload as an announce; heartbeats
 /// upsert, so a worker evicted during a stall re-enters on its next beat).
-pub fn heartbeat_line(addr: &str, slots: usize, proto_max: u32, token: Option<&str>) -> String {
-    registry_line("heartbeat", worker_fields(addr, slots, proto_max, token))
+pub fn heartbeat_line(addr: &str, slots: usize, token: Option<&str>) -> String {
+    registry_line("heartbeat", worker_fields(addr, slots, token))
 }
 
 /// The graceful-deregistration `drain` line.
@@ -139,8 +133,6 @@ pub enum RegistryRequest {
         addr: String,
         /// Session slots the worker advertises.
         slots: usize,
-        /// Highest worker-protocol version the daemon speaks.
-        proto_max: u32,
         /// Shared secret; must match the registry's token when it has one.
         token: Option<String>,
     },
@@ -150,8 +142,6 @@ pub enum RegistryRequest {
         addr: String,
         /// Session slots the worker advertises.
         slots: usize,
-        /// Highest worker-protocol version the daemon speaks.
-        proto_max: u32,
         /// Shared secret; same rule as for announce.
         token: Option<String>,
     },
@@ -207,24 +197,9 @@ pub fn parse_registry_request(line: &str) -> Result<RegistryRequest, String> {
         .and_then(JsonValue::as_usize)
         .ok_or_else(|| "missing worker `slots`".to_string())?
         .max(1);
-    let proto_max = doc
-        .get("proto_max")
-        .and_then(JsonValue::as_usize)
-        .unwrap_or(1)
-        .max(1) as u32;
     Ok(match kind {
-        "announce" => RegistryRequest::Announce {
-            addr,
-            slots,
-            proto_max,
-            token,
-        },
-        _ => RegistryRequest::Heartbeat {
-            addr,
-            slots,
-            proto_max,
-            token,
-        },
+        "announce" => RegistryRequest::Announce { addr, slots, token },
+        _ => RegistryRequest::Heartbeat { addr, slots, token },
     })
 }
 
@@ -277,8 +252,6 @@ pub struct RegistryWorker {
     pub addr: String,
     /// Session slots the worker advertised.
     pub slots: usize,
-    /// Highest worker-protocol version the daemon speaks.
-    pub proto_max: u32,
 }
 
 /// A point-in-time view of the registry for metrics and summaries.
@@ -298,7 +271,6 @@ pub struct RegistrySnapshot {
 
 struct WorkerEntry {
     slots: usize,
-    proto_max: u32,
     last_seen: Instant,
     /// Registration generation: assigned (from a registry-wide counter,
     /// starting at 1) whenever the address enters the roster *fresh* —
@@ -398,14 +370,13 @@ impl WorkerRegistry {
     /// are evicted first so a worker that died and re-announced before any
     /// roster read gets a fresh epoch, not its zombie predecessor's.
     /// Returns whether the entry was fresh.
-    fn upsert(&self, addr: &str, slots: usize, proto_max: u32) -> bool {
+    fn upsert(&self, addr: &str, slots: usize) -> bool {
         let mut entries = self.entries.lock().expect("registry");
         self.evict_stale(&mut entries);
         let now = Instant::now();
         match entries.get_mut(addr) {
             Some(entry) => {
                 entry.slots = slots;
-                entry.proto_max = proto_max;
                 entry.last_seen = now;
                 false
             }
@@ -414,7 +385,6 @@ impl WorkerRegistry {
                     addr.to_string(),
                     WorkerEntry {
                         slots,
-                        proto_max,
                         last_seen: now,
                         epoch: self.next_epoch.fetch_add(1, Ordering::Relaxed),
                     },
@@ -425,20 +395,18 @@ impl WorkerRegistry {
     }
 
     /// Registers (or refreshes) a worker.
-    pub fn announce(&self, addr: &str, slots: usize, proto_max: u32) {
-        let fresh = self.upsert(addr, slots, proto_max);
+    pub fn announce(&self, addr: &str, slots: usize) {
+        let fresh = self.upsert(addr, slots);
         self.announces.fetch_add(1, Ordering::Relaxed);
         if fresh {
-            self.note(&format!(
-                "registered {addr} ({slots} slots, protocol ≤ {proto_max})"
-            ));
+            self.note(&format!("registered {addr} ({slots} slots)"));
         }
     }
 
     /// Refreshes a worker's liveness; upserts, so a worker evicted during
     /// a stall re-enters on its next beat.
-    pub fn heartbeat(&self, addr: &str, slots: usize, proto_max: u32) {
-        let returned = self.upsert(addr, slots, proto_max);
+    pub fn heartbeat(&self, addr: &str, slots: usize) {
+        let returned = self.upsert(addr, slots);
         self.heartbeats.fetch_add(1, Ordering::Relaxed);
         if returned {
             self.note(&format!("{addr} returned on a heartbeat"));
@@ -469,7 +437,6 @@ impl WorkerRegistry {
             .map(|(addr, e)| RegistryWorker {
                 addr: addr.clone(),
                 slots: e.slots,
-                proto_max: e.proto_max,
             })
             .collect();
         workers.sort_by(|a, b| a.addr.cmp(&b.addr));
@@ -597,13 +564,8 @@ fn handle_registry_connection(registry: &WorkerRegistry, mut stream: TcpStream) 
             return;
         }
         match request {
-            RegistryRequest::Announce {
-                addr,
-                slots,
-                proto_max,
-                ..
-            } => {
-                registry.announce(&addr, slots, proto_max);
+            RegistryRequest::Announce { addr, slots, .. } => {
+                registry.announce(&addr, slots);
                 if writeln!(stream, "{}", registered_line(registry.interval()))
                     .and_then(|()| stream.flush())
                     .is_err()
@@ -611,12 +573,7 @@ fn handle_registry_connection(registry: &WorkerRegistry, mut stream: TcpStream) 
                     return;
                 }
             }
-            RegistryRequest::Heartbeat {
-                addr,
-                slots,
-                proto_max,
-                ..
-            } => registry.heartbeat(&addr, slots, proto_max),
+            RegistryRequest::Heartbeat { addr, slots, .. } => registry.heartbeat(&addr, slots),
             RegistryRequest::Drain { addr, .. } => {
                 registry.drain(&addr);
                 let _ = writeln!(stream, "{}", registry_bye_line());
@@ -633,23 +590,21 @@ mod tests {
 
     #[test]
     fn registry_lines_round_trip() {
-        let line = announce_line("127.0.0.1:7801", 8, 2, Some("s3cret"));
+        let line = announce_line("127.0.0.1:7801", 8, Some("s3cret"));
         assert_eq!(
             parse_registry_request(&line).unwrap(),
             RegistryRequest::Announce {
                 addr: "127.0.0.1:7801".to_string(),
                 slots: 8,
-                proto_max: 2,
                 token: Some("s3cret".to_string()),
             }
         );
-        let line = heartbeat_line("127.0.0.1:7801", 8, 2, None);
+        let line = heartbeat_line("127.0.0.1:7801", 8, None);
         assert_eq!(
             parse_registry_request(&line).unwrap(),
             RegistryRequest::Heartbeat {
                 addr: "127.0.0.1:7801".to_string(),
                 slots: 8,
-                proto_max: 2,
                 token: None,
             }
         );
@@ -695,8 +650,8 @@ mod tests {
     fn roster_tracks_announce_drain_and_eviction() {
         // A zero-ish interval makes staleness immediate for the test.
         let registry = WorkerRegistry::new(Duration::from_millis(1), None, true);
-        registry.announce("127.0.0.1:7801", 4, 2);
-        registry.announce("127.0.0.1:7802", 2, 1);
+        registry.announce("127.0.0.1:7801", 4);
+        registry.announce("127.0.0.1:7802", 2);
         assert_eq!(
             registry.roster(),
             vec!["127.0.0.1:7801".to_string(), "127.0.0.1:7802".to_string()]
@@ -705,7 +660,6 @@ mod tests {
         assert_eq!(snapshot.announces, 2);
         assert_eq!(snapshot.workers.len(), 2);
         assert_eq!(snapshot.workers[0].slots, 4);
-        assert_eq!(snapshot.workers[0].proto_max, 2);
 
         // Graceful drain removes immediately.
         registry.drain("127.0.0.1:7801");
@@ -718,14 +672,14 @@ mod tests {
         assert_eq!(registry.snapshot().evictions, 1);
 
         // A late heartbeat brings an evicted worker back (upsert).
-        registry.heartbeat("127.0.0.1:7802", 2, 1);
+        registry.heartbeat("127.0.0.1:7802", 2);
         assert_eq!(registry.roster(), vec!["127.0.0.1:7802".to_string()]);
     }
 
     #[test]
     fn epochs_survive_refreshes_and_change_on_reentry() {
         let registry = WorkerRegistry::new(Duration::from_secs(60), None, true);
-        registry.announce("127.0.0.1:7801", 4, 2);
+        registry.announce("127.0.0.1:7801", 4);
         let first = registry.entries();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].slots, 4);
@@ -733,8 +687,8 @@ mod tests {
 
         // Refreshes (re-announce, heartbeat) keep the epoch: same worker,
         // still alive — even when the advertised slots change.
-        registry.announce("127.0.0.1:7801", 8, 2);
-        registry.heartbeat("127.0.0.1:7801", 8, 2);
+        registry.announce("127.0.0.1:7801", 8);
+        registry.heartbeat("127.0.0.1:7801", 8);
         let refreshed = registry.entries();
         assert_eq!(refreshed[0].epoch, first[0].epoch);
         assert_eq!(refreshed[0].slots, 8);
@@ -743,7 +697,7 @@ mod tests {
         // draws a new epoch: the remote pool must treat the address as a
         // restarted worker and drop its throughput estimate.
         registry.drain("127.0.0.1:7801");
-        registry.announce("127.0.0.1:7801", 4, 2);
+        registry.announce("127.0.0.1:7801", 4);
         let reentered = registry.entries();
         assert!(
             reentered[0].epoch > first[0].epoch,
@@ -759,10 +713,10 @@ mod tests {
         // any roster read must come back with a *new* epoch — the upsert
         // path evicts the zombie first instead of refreshing it.
         let registry = WorkerRegistry::new(Duration::from_millis(1), None, true);
-        registry.announce("127.0.0.1:7801", 4, 2);
+        registry.announce("127.0.0.1:7801", 4);
         let first = registry.entries()[0].epoch;
         std::thread::sleep(Duration::from_millis(10));
-        registry.announce("127.0.0.1:7801", 4, 2);
+        registry.announce("127.0.0.1:7801", 4);
         let second = registry.entries()[0].epoch;
         assert!(second > first, "{second} vs {first}");
         assert_eq!(registry.snapshot().evictions, 1);
@@ -780,7 +734,7 @@ mod tests {
         writeln!(
             stream,
             "{}",
-            announce_line("127.0.0.1:7801", 4, 2, Some("s3cret"))
+            announce_line("127.0.0.1:7801", 4, Some("s3cret"))
         )
         .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -809,7 +763,7 @@ mod tests {
         writeln!(
             stream,
             "{}",
-            announce_line("127.0.0.1:7809", 1, 1, Some("wrong"))
+            announce_line("127.0.0.1:7809", 1, Some("wrong"))
         )
         .unwrap();
         let mut reader = BufReader::new(stream);

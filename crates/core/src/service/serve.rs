@@ -328,10 +328,10 @@ fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
 }
 
 /// One stderr line summarizing the daemon's remote worker fleet: endpoint
-/// count, live/idle persistent connections, lifetime dials, and the last
-/// negotiated protocol version per endpoint. `None` until a remote backend
-/// has materialized the shared pool (inline/threads/subprocess daemons stay
-/// silent — there is no fleet to summarize).
+/// count, live/idle persistent connections, lifetime dials, and per-endpoint
+/// origin, load and timing. `None` until a remote backend has materialized
+/// the shared pool (inline daemons stay silent — there is no fleet to
+/// summarize).
 fn fleet_summary(service: &SynthesisService) -> Option<String> {
     let fleet = service.shared_resources().remote_fleet()?;
     let mut line = format!(
@@ -343,10 +343,6 @@ fn fleet_summary(service: &SynthesisService) -> Option<String> {
         fleet.requeued_pieces
     );
     for endpoint in &fleet.endpoints {
-        let proto = match endpoint.protocol {
-            0 => "v?".to_string(),
-            v => format!("v{v}"),
-        };
         let origin = if endpoint.discovered {
             "registry"
         } else {
@@ -367,7 +363,7 @@ fn fleet_summary(service: &SynthesisService) -> Option<String> {
             None => String::new(),
         };
         line.push_str(&format!(
-            "; {} [{origin} {proto}, {} live{timing}{rate}]",
+            "; {} [{origin}, {} live{timing}{rate}]",
             endpoint.addr, endpoint.live
         ));
     }

@@ -1,36 +1,31 @@
-//! The `pimsyn --worker` evaluation server.
+//! The `pimsyn worker-serve` evaluation server.
 //!
-//! A worker is a child process of the
-//! [`SubprocessBackend`](pimsyn_dse::SubprocessBackend): it reads the
-//! versioned JSON-lines protocol of [`pimsyn_dse::backend::protocol`] from
-//! stdin — an `init` message fixing a run's model, hardware, power, macro
-//! mode and objective, then a stream of `score` requests — and answers each
-//! request with the candidate's score on stdout. Scoring runs the same
+//! [`serve_workers`] accepts TCP connections from the
+//! [`RemoteBackend`](pimsyn_dse::RemoteBackend), guards each with the
+//! protocol's transport handshake (version check plus an optional shared
+//! auth token), and then serves one worker *session* per connection using
+//! the protocol of [`pimsyn_dse::backend::protocol`]: an `init` line fixing
+//! a run's model, hardware, power, macro mode and objective, acknowledged
+//! by a `ready` line, then a stream of binary `score_batch` frames, each
+//! answered with one `score_reply` frame. Scoring runs the same
 //! [`EvalCore`] pipeline as in-process evaluation, so worker scores are
-//! bit-identical to inline ones (floats cross the pipe as `f64::to_bits`
-//! hex).
+//! bit-identical to inline ones (floats cross the wire as IEEE-754 bit
+//! patterns).
 //!
-//! A worker process outlives any single run: a later `init` message
-//! *re-opens the session* — the model/hardware/power are re-ingested, a
-//! fresh `ready` line acknowledges them, and scoring continues under the
-//! new run's parameters. This is what lets a long-lived
-//! [`WorkerPool`](pimsyn_dse::WorkerPool) recycle processes across
-//! synthesis jobs instead of spawning a fresh complement per run.
+//! A connection outlives any single run: a later `init` line *re-opens
+//! the session* — the model/hardware/power are re-ingested, a fresh
+//! `ready` line acknowledges them, and scoring continues under the new
+//! run's parameters. This is what lets a long-lived
+//! [`RemotePool`](pimsyn_dse::RemotePool) recycle connections across
+//! synthesis jobs instead of dialing a fresh complement per run.
 //!
-//! The worker exits when its stdin closes (the parent dropped it) and on
-//! the first malformed message (after writing a diagnostic `error` line the
-//! parent surfaces); the parent recomputes any in-flight work inline, so a
-//! dying worker never changes results.
-//!
-//! Sessions are also reachable over TCP: [`serve_workers`] runs the same
-//! loop behind `pimsyn worker-serve`, one session per accepted connection,
-//! guarded by the protocol's transport handshake (version check plus an
-//! optional shared auth token). The
-//! [`RemoteBackend`](pimsyn_dse::RemoteBackend) is the dialing side.
+//! A session ends when the peer closes the connection, and on the first
+//! malformed message (after sending a diagnostic `error` line or frame the
+//! peer surfaces); the dialing backend recomputes any in-flight work
+//! inline, so a failing session never changes results.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -40,39 +35,38 @@ use crate::service::registry;
 use pimsyn_arch::{hardware_config, CrossbarConfig, DacConfig, Watts};
 use pimsyn_dse::backend::protocol::{
     bye_line, decode_score_batch, encode_score_reply, error_line, parse_bye, parse_handshake,
-    peer_max_version, read_frame, ready_line, ready_line_with_max, stop_line, welcome_line,
-    write_frame, ScoreResponse, TcpHandshake, WorkerInit, WorkerRequest, FRAME_ERROR,
-    FRAME_SCORE_BATCH, FRAME_SCORE_REPLY, NO_FREE_SLOTS, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
+    read_frame, ready_line, stop_line, welcome_line, write_frame, BatchItem, TcpHandshake,
+    WorkerInit, FRAME_ERROR, FRAME_SCORE_BATCH, FRAME_SCORE_REPLY, NO_FREE_SLOTS,
 };
 use pimsyn_dse::{CandidateScore, DesignPoint, EvalCacheConfig, EvalCore, MacAllocGene};
 use pimsyn_ir::Dataflow;
 use pimsyn_model::onnx;
 
-/// Dataflow-identity of a score request: `(xb_size, cell_bits, dac_bits,
+/// Dataflow-identity of a batch item: `(xb_size, cell_bits, dac_bits,
 /// wt_dup)` — everything `Dataflow::compile` consumes besides the model.
-type DataflowKey = (usize, u32, u32, Vec<usize>);
+type DataflowKey = (u32, u32, u32, Vec<u32>);
 
 /// One inbound protocol unit, distinguished by peeking the first byte: a
-/// JSON line starts with `{`, a v2 binary frame with a frame-kind byte
-/// (which never collides with `{`).
+/// JSON line starts with `{`, a binary frame with a frame-kind byte (which
+/// never collides with `{`).
 enum Incoming {
     /// The transport closed cleanly.
     Eof,
-    /// One JSON protocol line (init, or a v1 score request).
+    /// One JSON protocol line (a session init).
     Line(String),
-    /// One v2 binary frame.
+    /// One binary frame.
     Frame(u8, Vec<u8>),
 }
 
-/// Reads the next protocol unit. Frames are only recognized when
-/// `allow_frames` is set (a negotiated v2 session); otherwise every byte
-/// stream is treated as JSON lines, exactly like a v1-only build.
+/// Reads the next protocol unit. Frames are only recognized once a
+/// session is open (`allow_frames`); before that every byte stream is
+/// read as JSON lines.
 fn read_incoming(input: &mut impl BufRead, allow_frames: bool) -> Result<Incoming, String> {
     loop {
         let first = {
             let buf = input
                 .fill_buf()
-                .map_err(|e| format!("stdin read failed: {e}"))?;
+                .map_err(|e| format!("session read failed: {e}"))?;
             if buf.is_empty() {
                 return Ok(Incoming::Eof);
             }
@@ -83,13 +77,16 @@ fn read_incoming(input: &mut impl BufRead, allow_frames: bool) -> Result<Incomin
                 read_frame(input).map_err(|e| format!("frame read failed: {e}"))?;
             return Ok(Incoming::Frame(kind, payload));
         }
-        let mut line = String::new();
+        // Bytes, not `read_line`: a non-UTF-8 line is a malformed message
+        // the peer is told about, not a transport failure.
+        let mut bytes = Vec::new();
         let n = input
-            .read_line(&mut line)
-            .map_err(|e| format!("stdin read failed: {e}"))?;
+            .read_until(b'\n', &mut bytes)
+            .map_err(|e| format!("session read failed: {e}"))?;
         if n == 0 {
             return Ok(Incoming::Eof);
         }
+        let line = String::from_utf8_lossy(&bytes).into_owned();
         if line.trim().is_empty() {
             continue;
         }
@@ -97,77 +94,78 @@ fn read_incoming(input: &mut impl BufRead, allow_frames: bool) -> Result<Incomin
     }
 }
 
-/// Serves one worker session over the given streams at the newest protocol
-/// version this build speaks; returns the protocol error that ended it, if
-/// any. Repeated `init` messages re-open the session with new run
-/// parameters (each acknowledged by its own `ready` line).
-///
-/// # Errors
-///
-/// A human-readable message (already reported to the peer as an `error`
-/// line or frame) for malformed messages or an un-ingestable init payload.
-pub fn run_worker(input: impl BufRead, output: impl Write) -> Result<(), String> {
-    run_worker_with(input, output, PROTOCOL_VERSION_MAX)
+/// Scores one batch item through the same pipeline as in-process
+/// evaluation, reusing `compiled` when consecutive items share a dataflow;
+/// anything uncompilable is INFEASIBLE, never an error.
+fn score_item(
+    model: &pimsyn_model::Model,
+    core: &EvalCore<'_>,
+    compiled: &mut Option<(DataflowKey, Dataflow)>,
+    item: BatchItem,
+) -> CandidateScore {
+    (|| -> Option<CandidateScore> {
+        let crossbar = CrossbarConfig::new(item.xb_size as usize, item.cell_bits).ok()?;
+        let dac = DacConfig::new(item.dac_bits).ok()?;
+        let key = (item.xb_size, item.cell_bits, item.dac_bits, item.wt_dup);
+        if compiled.as_ref().map(|(k, _)| k) != Some(&key) {
+            let wt_dup: Vec<usize> = key.3.iter().map(|&d| d as usize).collect();
+            let df = Dataflow::compile(model, crossbar, dac, &wt_dup).ok()?;
+            *compiled = Some((key, df));
+        }
+        let (_, df) = compiled.as_ref().expect("just compiled");
+        let gene = MacAllocGene::from_raw(item.gene).ok()?;
+        let point = DesignPoint {
+            ratio_rram: f64::from_bits(item.ratio_bits),
+            crossbar,
+        };
+        Some(core.score(df, point, &gene))
+    })()
+    .unwrap_or(CandidateScore::INFEASIBLE)
 }
 
-/// [`run_worker`] capped at `max_version`: sessions negotiate down to at
-/// most this protocol version. `max_version = 1` reproduces a v1-only
-/// build bit-for-bit (plain `ready` lines, JSON score lines only) — used
-/// by downgrade tests and the v1-vs-v2 bench.
-///
-/// # Errors
-///
-/// Same as [`run_worker`].
-pub fn run_worker_with(
-    input: impl BufRead,
-    output: impl Write,
-    max_version: u32,
-) -> Result<(), String> {
-    run_worker_session(input, output, max_version, &FaultInjection::default())
-}
-
-/// The session engine behind [`run_worker_with`], with `faults` applied to
-/// every score exchange (see [`FaultInjection`]; the default injects
-/// nothing and is bit-for-bit the old behavior).
-fn run_worker_session(
+/// Serves one worker session over the given streams, with `faults` applied
+/// to every score exchange (see [`FaultInjection`]; the default injects
+/// nothing); returns the protocol error that ended it, if any. Repeated
+/// `init` lines re-open the session with new run parameters (each
+/// acknowledged by its own `ready` line). Errors are reported to the peer
+/// as an `error` line or frame before they are returned.
+fn run_worker(
     mut input: impl BufRead,
     mut output: impl Write,
-    max_version: u32,
     faults: &FaultInjection,
 ) -> Result<(), String> {
     // Score exchanges answered on this connection so far (1-based), the
     // clock the stall/drop faults tick on.
     let mut exchanges = 0usize;
-    let fail = |output: &mut dyn Write, detail: String| -> Result<(), String> {
+    // Before a session opens the peer reads JSON lines, so errors travel
+    // as an error line.
+    let fail_line = |output: &mut dyn Write, detail: String| -> Result<(), String> {
         let _ = writeln!(output, "{}", error_line(&detail));
         let _ = output.flush();
         Err(detail)
     };
-    // In a v2 session the peer reads frames, so errors must travel as an
-    // error *frame* — a JSON error line would be misread as a frame header.
+    // In an open session the peer reads frames, so errors must travel as
+    // an error *frame* — a JSON error line would be misread as a frame
+    // header.
     let fail_frame = |output: &mut dyn Write, detail: String| -> Result<(), String> {
         let _ = write_frame(output, FRAME_ERROR, detail.as_bytes());
         let _ = output.flush();
         Err(detail)
     };
-    let own_max = max_version.clamp(PROTOCOL_VERSION, PROTOCOL_VERSION_MAX);
 
-    // The first message is a JSON init line in every protocol version.
-    let first = match read_incoming(&mut input, false)? {
+    // The first message is a JSON init line.
+    let mut pending = match read_incoming(&mut input, false)? {
         Incoming::Eof => return Ok(()), // empty session: nothing to do
-        Incoming::Line(line) => line,
+        Incoming::Line(line) => match WorkerInit::parse(line.trim()) {
+            Ok(init) => Some(init),
+            Err(e) => return fail_line(&mut output, e),
+        },
         Incoming::Frame(..) => unreachable!("frames are not recognized before init"),
-    };
-    let mut pending = match WorkerRequest::parse(first.trim()) {
-        Ok(WorkerRequest::Init(init)) => Some((init, peer_max_version(first.trim()))),
-        Ok(_) => return fail(&mut output, "first message must be `init`".to_string()),
-        Err(e) => return fail(&mut output, e),
     };
 
     // One iteration per session: ingest the init, acknowledge, then score
-    // until stdin closes or another init re-opens the session.
-    while let Some((init, peer_max)) = pending.take() {
-        let version = peer_max.min(own_max);
+    // until the peer closes or another init re-opens the session.
+    while let Some(init) = pending.take() {
         let WorkerInit {
             model_json,
             hw_json,
@@ -177,11 +175,11 @@ fn run_worker_session(
         } = init;
         let model = match onnx::parse_model(&model_json) {
             Ok(m) => m,
-            Err(e) => return fail(&mut output, format!("cannot ingest model: {e}")),
+            Err(e) => return fail_line(&mut output, format!("cannot ingest model: {e}")),
         };
         let hw = match hardware_config::from_json_exact(&hw_json) {
             Ok(hw) => hw,
-            Err(e) => return fail(&mut output, format!("cannot ingest hardware params: {e}")),
+            Err(e) => return fail_line(&mut output, format!("cannot ingest hardware params: {e}")),
         };
         let core = EvalCore::new(
             &model,
@@ -191,89 +189,25 @@ fn run_worker_session(
             objective,
             EvalCacheConfig::default(),
         );
-        // A v1 peer (or a v1-capped build) gets the plain v1 ready; a v2
-        // session acknowledges with the negotiated version.
-        let ack = if version >= 2 {
-            ready_line_with_max(version)
-        } else {
-            ready_line()
-        };
-        writeln!(output, "{ack}").map_err(|e| format!("stdout write failed: {e}"))?;
+        writeln!(output, "{}", ready_line()).map_err(|e| format!("session write failed: {e}"))?;
         output
             .flush()
-            .map_err(|e| format!("stdout flush failed: {e}"))?;
+            .map_err(|e| format!("session flush failed: {e}"))?;
 
-        // Requests of one batch share a dataflow; cache the last compiled
-        // one (per session — the model changed, so it cannot carry over).
+        // Items of one batch share a dataflow; cache the last compiled one
+        // (per session — the model changed, so it cannot carry over).
         let mut compiled: Option<(DataflowKey, Dataflow)> = None;
-        // Scores one candidate through the same pipeline as in-process
-        // evaluation; anything uncompilable is INFEASIBLE, never an error.
-        let score_one = |compiled: &mut Option<(DataflowKey, Dataflow)>,
-                         ratio_bits: u64,
-                         xb_size: usize,
-                         cell_bits: u32,
-                         dac_bits: u32,
-                         wt_dup: Vec<usize>,
-                         gene: Vec<u32>|
-         -> CandidateScore {
-            (|| -> Option<CandidateScore> {
-                let crossbar = CrossbarConfig::new(xb_size, cell_bits).ok()?;
-                let dac = DacConfig::new(dac_bits).ok()?;
-                let df_key = (xb_size, cell_bits, dac_bits, wt_dup);
-                if compiled.as_ref().map(|(k, _)| k) != Some(&df_key) {
-                    let df = Dataflow::compile(&model, crossbar, dac, &df_key.3).ok()?;
-                    *compiled = Some((df_key, df));
-                }
-                let (_, df) = compiled.as_ref().expect("just compiled");
-                let gene = MacAllocGene::from_raw(gene).ok()?;
-                let point = DesignPoint {
-                    ratio_rram: f64::from_bits(ratio_bits),
-                    crossbar,
-                };
-                Some(core.score(df, point, &gene))
-            })()
-            .unwrap_or(CandidateScore::INFEASIBLE)
-        };
         loop {
-            match read_incoming(&mut input, version >= 2)? {
+            match read_incoming(&mut input, true)? {
                 Incoming::Eof => break,
-                Incoming::Line(line) => {
-                    match WorkerRequest::parse(line.trim()) {
-                        Ok(WorkerRequest::Score(request)) => {
-                            exchanges += 1;
-                            if faults.should_drop(exchanges) {
-                                return Ok(()); // injected fault: die mid-chunk
-                            }
-                            let score = score_one(
-                                &mut compiled,
-                                request.ratio_bits,
-                                request.xb_size,
-                                request.cell_bits,
-                                request.dac_bits,
-                                request.wt_dup,
-                                request.gene,
-                            );
-                            faults.delay_reply(exchanges, 1);
-                            let response = ScoreResponse {
-                                id: request.id,
-                                score,
-                            };
-                            writeln!(output, "{}", response.to_line())
-                                .map_err(|e| format!("stdout write failed: {e}"))?;
-                            output
-                                .flush()
-                                .map_err(|e| format!("stdout flush failed: {e}"))?;
-                        }
-                        Ok(WorkerRequest::Init(next)) => {
-                            // Session re-open: a new run leased this
-                            // process. The re-init renegotiates the
-                            // version (the new run may be a v1 client).
-                            pending = Some((next, peer_max_version(line.trim())));
-                            break;
-                        }
-                        Err(e) => return fail(&mut output, e),
+                Incoming::Line(line) => match WorkerInit::parse(line.trim()) {
+                    // Session re-open: a new run leased this connection.
+                    Ok(next) => {
+                        pending = Some(next);
+                        break;
                     }
-                }
+                    Err(e) => return fail_frame(&mut output, e),
+                },
                 Incoming::Frame(FRAME_SCORE_BATCH, payload) => {
                     let (id_base, items) = match decode_score_batch(&payload) {
                         Ok(batch) => batch,
@@ -286,17 +220,7 @@ fn run_worker_session(
                     let jobs = items.len();
                     let scores: Vec<CandidateScore> = items
                         .into_iter()
-                        .map(|item| {
-                            score_one(
-                                &mut compiled,
-                                item.ratio_bits,
-                                item.xb_size as usize,
-                                item.cell_bits,
-                                item.dac_bits,
-                                item.wt_dup.into_iter().map(|d| d as usize).collect(),
-                                item.gene,
-                            )
-                        })
+                        .map(|item| score_item(&model, &core, &mut compiled, item))
                         .collect();
                     faults.delay_reply(exchanges, jobs);
                     write_frame(
@@ -304,10 +228,10 @@ fn run_worker_session(
                         FRAME_SCORE_REPLY,
                         &encode_score_reply(id_base, &scores),
                     )
-                    .map_err(|e| format!("stdout write failed: {e}"))?;
+                    .map_err(|e| format!("session write failed: {e}"))?;
                     output
                         .flush()
-                        .map_err(|e| format!("stdout flush failed: {e}"))?;
+                        .map_err(|e| format!("session flush failed: {e}"))?;
                 }
                 Incoming::Frame(kind, _) => {
                     return fail_frame(&mut output, format!("unexpected frame kind 0x{kind:02x}"))
@@ -316,16 +240,6 @@ fn run_worker_session(
         }
     }
     Ok(())
-}
-
-/// The `pimsyn --worker` entry point: serves stdin/stdout until EOF.
-pub fn run_worker_stdio() -> ExitCode {
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout().lock();
-    match run_worker(stdin, stdout) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(_) => ExitCode::FAILURE,
-    }
 }
 
 /// Artificial worker misbehavior, injected into served sessions for chaos
@@ -432,10 +346,6 @@ pub struct WorkerServeConfig {
     /// <addr>` startup line prints regardless — it is the script-facing
     /// way to learn the bound port when listening on port 0.
     pub quiet: bool,
-    /// Cap on the negotiated worker protocol version (`None` = the newest
-    /// this build speaks). `Some(1)` reproduces a v1-only daemon — for
-    /// downgrade tests and the v1-vs-v2 bench.
-    pub protocol_max: Option<u32>,
     /// A worker registry (`HOST:PORT` of a `pimsyn serve`/`pimsyn gateway`
     /// started with `--worker-registry`) to announce this daemon to. While
     /// serving, a background thread keeps the registration alive with
@@ -482,7 +392,6 @@ struct WorkerServeState {
     token: Option<String>,
     quiet: bool,
     addr: SocketAddr,
-    protocol_max: u32,
     faults: FaultInjection,
     active: AtomicUsize,
     stop: AtomicBool,
@@ -524,8 +433,8 @@ pub(crate) fn poke_listener(addr: SocketAddr) {
 /// Serves evaluation-worker sessions over TCP until a `stop` frame
 /// arrives, blocking the calling thread. Each accepted connection is
 /// handshaked (protocol version, optional auth token, free-slot check) and
-/// then handed to [`run_worker`] on its own thread — one connection is one
-/// worker session, ended by the peer closing the socket.
+/// then served as one worker session on its own thread, ended by the peer
+/// closing the socket.
 ///
 /// On startup the actually-bound address — including the kernel-resolved
 /// port when the listener was bound to port 0 — is printed to stderr as
@@ -548,10 +457,6 @@ pub fn serve_workers(listener: TcpListener, config: WorkerServeConfig) -> std::i
         token: config.token.clone(),
         quiet: config.quiet,
         addr,
-        protocol_max: config
-            .protocol_max
-            .unwrap_or(PROTOCOL_VERSION_MAX)
-            .clamp(PROTOCOL_VERSION, PROTOCOL_VERSION_MAX),
         faults: config.faults.clone(),
         active: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
@@ -566,16 +471,9 @@ pub fn serve_workers(listener: TcpListener, config: WorkerServeConfig) -> std::i
     }
     // Unconditional: the script-facing bound-address line (see above).
     eprintln!("pimsyn worker-serve: listening on {addr}");
-    let announcer = config.announce.map(|registry| {
-        start_announcer(
-            registry,
-            config.token,
-            addr,
-            state.slots,
-            state.protocol_max,
-            config.quiet,
-        )
-    });
+    let announcer = config
+        .announce
+        .map(|registry| start_announcer(registry, config.token, addr, state.slots, config.quiet));
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
@@ -625,20 +523,11 @@ fn start_announcer(
     token: Option<String>,
     listen: SocketAddr,
     slots: usize,
-    protocol_max: u32,
     quiet: bool,
 ) -> Announcer {
     let (tx, rx) = mpsc::channel();
     let thread = std::thread::spawn(move || {
-        run_announcer(
-            &registry,
-            token.as_deref(),
-            listen,
-            slots,
-            protocol_max,
-            quiet,
-            &rx,
-        );
+        run_announcer(&registry, token.as_deref(), listen, slots, quiet, &rx);
     });
     Announcer { tx, thread }
 }
@@ -651,7 +540,6 @@ fn announce_once(
     token: Option<&str>,
     listen: SocketAddr,
     slots: usize,
-    protocol_max: u32,
 ) -> Result<(TcpStream, String, Duration), String> {
     let mut stream = pimsyn_dse::backend::dial_bounded(registry, ANNOUNCE_CONNECT_TIMEOUT)?;
     let _ = stream.set_nodelay(true);
@@ -670,7 +558,7 @@ fn announce_once(
     writeln!(
         stream,
         "{}",
-        registry::announce_line(&advertised, slots, protocol_max, token)
+        registry::announce_line(&advertised, slots, token)
     )
     .and_then(|()| stream.flush())
     .map_err(|e| format!("cannot announce to {registry}: {e}"))?;
@@ -704,7 +592,6 @@ fn run_announcer(
     token: Option<&str>,
     listen: SocketAddr,
     slots: usize,
-    protocol_max: u32,
     quiet: bool,
     stop: &mpsc::Receiver<()>,
 ) {
@@ -714,7 +601,7 @@ fn run_announcer(
         }
     };
     loop {
-        match announce_once(registry, token, listen, slots, protocol_max) {
+        match announce_once(registry, token, listen, slots) {
             Ok((mut stream, advertised, interval)) => {
                 note(&format!(
                     "announced {advertised} to registry {registry} (heartbeat every {}s)",
@@ -723,8 +610,7 @@ fn run_announcer(
                 loop {
                     match stop.recv_timeout(interval) {
                         Err(mpsc::RecvTimeoutError::Timeout) => {
-                            let beat =
-                                registry::heartbeat_line(&advertised, slots, protocol_max, token);
+                            let beat = registry::heartbeat_line(&advertised, slots, token);
                             if writeln!(stream, "{beat}")
                                 .and_then(|()| stream.flush())
                                 .is_err()
@@ -827,7 +713,7 @@ fn handle_worker_connection(state: &Arc<WorkerServeState>, mut stream: TcpStream
             // peer must not pin this slot forever.
             let _ = stream.set_read_timeout(Some(SESSION_IDLE_TIMEOUT));
             state.note("session opened");
-            let _ = run_worker_session(reader, &mut stream, state.protocol_max, &state.faults);
+            let _ = run_worker(reader, &mut stream, &state.faults);
             state.note("session closed");
         }
     }
@@ -902,7 +788,7 @@ pub fn stop_worker_server(addr: &str, token: Option<&str>) -> Result<(), String>
 mod tests {
     use super::*;
     use pimsyn_arch::{HardwareParams, MacroMode};
-    use pimsyn_dse::backend::protocol::{parse_ready, ScoreRequest};
+    use pimsyn_dse::backend::protocol::{decode_error_frame, decode_score_reply, parse_ready};
     use pimsyn_dse::Objective;
     use pimsyn_model::zoo;
 
@@ -918,157 +804,190 @@ mod tests {
         .to_line()
     }
 
-    fn score_request(id: u64, macros: usize) -> (ScoreRequest, DesignPoint, Vec<usize>) {
-        let model = zoo::alexnet_cifar(10);
-        let l = model.weight_layer_count();
+    /// One batch item scoring `gene` on alexnet-cifar at the test design
+    /// point (128×128 2-bit crossbars, 1-bit DAC, no duplication).
+    fn item(gene: &MacAllocGene) -> BatchItem {
+        let l = zoo::alexnet_cifar(10).weight_layer_count();
+        BatchItem {
+            ratio_bits: 0.3f64.to_bits(),
+            xb_size: 128,
+            cell_bits: 2,
+            dac_bits: 1,
+            wt_dup: vec![1; l],
+            gene: gene.as_slice().to_vec(),
+        }
+    }
+
+    fn gene(macros: usize) -> MacAllocGene {
+        let l = zoo::alexnet_cifar(10).weight_layer_count();
+        MacAllocGene::encode(&vec![macros; l], &vec![None; l])
+    }
+
+    /// Appends an init line to a scripted session.
+    fn push_init(session: &mut Vec<u8>, power: f64) {
+        session.extend_from_slice(init_line(power).as_bytes());
+        session.push(b'\n');
+    }
+
+    /// Appends a `score_batch` frame to a scripted session.
+    fn push_batch(session: &mut Vec<u8>, id_base: u64, items: &[BatchItem]) {
+        let payload = pimsyn_dse::backend::protocol::encode_score_batch(id_base, items);
+        write_frame(session, FRAME_SCORE_BATCH, &payload).unwrap();
+    }
+
+    /// Reads the next `ready` line off a session's output.
+    fn expect_ready(reader: &mut impl BufRead) {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        parse_ready(line.trim()).expect("valid ready");
+    }
+
+    /// Reads the next `score_reply` frame off a session's output.
+    fn expect_reply(reader: &mut impl BufRead) -> (u64, Vec<CandidateScore>) {
+        let (kind, payload) = read_frame(reader).expect("reply frame");
+        assert_eq!(kind, FRAME_SCORE_REPLY);
+        decode_score_reply(&payload).unwrap()
+    }
+
+    fn core_at<'a>(
+        model: &'a pimsyn_model::Model,
+        hw: &'a HardwareParams,
+        power: f64,
+    ) -> EvalCore<'a> {
+        EvalCore::new(
+            model,
+            Watts(power),
+            hw,
+            MacroMode::Specialized,
+            Objective::PowerEfficiency,
+            EvalCacheConfig::default(),
+        )
+    }
+
+    fn test_dataflow(model: &pimsyn_model::Model) -> (Dataflow, DesignPoint) {
         let xb = CrossbarConfig::new(128, 2).unwrap();
-        let dup = vec![1usize; l];
-        let gene = MacAllocGene::encode(&vec![macros; l], &vec![None; l]);
+        let dup = vec![1usize; model.weight_layer_count()];
+        let df = Dataflow::compile(model, xb, DacConfig::new(1).unwrap(), &dup).unwrap();
         let point = DesignPoint {
             ratio_rram: 0.3,
             crossbar: xb,
         };
-        (
-            ScoreRequest {
-                id,
-                ratio_bits: point.ratio_rram.to_bits(),
-                xb_size: xb.size(),
-                cell_bits: xb.cell_bits(),
-                dac_bits: 1,
-                wt_dup: dup.clone(),
-                gene: gene.as_slice().to_vec(),
-            },
-            point,
-            dup,
-        )
+        (df, point)
     }
 
     #[test]
     fn worker_session_scores_bit_identically_to_inline() {
         let model = zoo::alexnet_cifar(10);
         let hw = HardwareParams::date24();
-        let l = model.weight_layer_count();
-        let xb = CrossbarConfig::new(128, 2).unwrap();
-        let dac = DacConfig::new(1).unwrap();
-        let dup = vec![1usize; l];
-        let df = Dataflow::compile(&model, xb, dac, &dup).unwrap();
-        let point = DesignPoint {
-            ratio_rram: 0.3,
-            crossbar: xb,
-        };
-        let genes: Vec<MacAllocGene> = (1..=3)
-            .map(|m| MacAllocGene::encode(&vec![m; l], &vec![None; l]))
-            .collect();
+        let (df, point) = test_dataflow(&model);
+        let genes: Vec<MacAllocGene> = (1..=3).map(gene).collect();
 
         // Drive a full session through in-memory pipes.
-        let mut session = String::new();
-        session.push_str(&init_line(9.0));
-        session.push('\n');
-        for (id, gene) in genes.iter().enumerate() {
-            let request = ScoreRequest {
-                id: id as u64,
-                ratio_bits: point.ratio_rram.to_bits(),
-                xb_size: xb.size(),
-                cell_bits: xb.cell_bits(),
-                dac_bits: dac.bits(),
-                wt_dup: dup.clone(),
-                gene: gene.as_slice().to_vec(),
-            };
-            session.push_str(&request.to_line());
-            session.push('\n');
-        }
+        let mut session = Vec::new();
+        push_init(&mut session, 9.0);
+        push_batch(
+            &mut session,
+            40,
+            &genes.iter().map(item).collect::<Vec<_>>(),
+        );
         let mut output = Vec::new();
-        run_worker(session.as_bytes(), &mut output).expect("clean session");
-        let text = String::from_utf8(output).unwrap();
-        let mut lines = text.lines();
-        parse_ready(lines.next().expect("ready line")).expect("valid ready");
+        run_worker(&session[..], &mut output, &FaultInjection::default()).expect("clean session");
+        let mut reader = &output[..];
+        expect_ready(&mut reader);
+        let (id_base, scores) = expect_reply(&mut reader);
+        assert_eq!(id_base, 40);
+        assert_eq!(scores.len(), genes.len());
 
         // Compare against in-process scoring, bit for bit.
-        let core = EvalCore::new(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-        );
-        for (id, gene) in genes.iter().enumerate() {
-            let response = ScoreResponse::parse(lines.next().expect("score line")).unwrap();
-            assert_eq!(response.id, id as u64);
+        let core = core_at(&model, &hw, 9.0);
+        for (got, gene) in scores.iter().zip(&genes) {
             let expect = core.score(&df, point, gene);
-            assert_eq!(response.score.fitness.to_bits(), expect.fitness.to_bits());
-            assert_eq!(response.score.feasible, expect.feasible);
+            assert_eq!(got.fitness.to_bits(), expect.fitness.to_bits());
+            assert_eq!(got.feasible, expect.feasible);
         }
-        assert!(lines.next().is_none());
+        assert!(reader.is_empty());
     }
 
     #[test]
     fn second_init_reopens_the_session() {
-        // Two back-to-back sessions at different power levels on one worker
-        // process: each init is acknowledged by its own ready line, and the
-        // same candidate scores differently under the different budgets —
-        // each bit-identical to in-process scoring at that power.
+        // Two back-to-back sessions at different power levels on one
+        // connection: each init is acknowledged by its own ready line, and
+        // the same candidate scores under each budget bit-identically to
+        // in-process scoring at that power.
         let model = zoo::alexnet_cifar(10);
         let hw = HardwareParams::date24();
-        let (request_a, point, dup) = score_request(0, 2);
-        let (request_b, _, _) = score_request(7, 2);
-        let mut session = String::new();
-        for (power, request) in [(9.0, &request_a), (15.0, &request_b)] {
-            session.push_str(&init_line(power));
-            session.push('\n');
-            session.push_str(&request.to_line());
-            session.push('\n');
+        let (df, point) = test_dataflow(&model);
+        let g = gene(2);
+        let mut session = Vec::new();
+        for (power, id_base) in [(9.0, 0u64), (15.0, 7)] {
+            push_init(&mut session, power);
+            push_batch(&mut session, id_base, &[item(&g)]);
         }
         let mut output = Vec::new();
-        run_worker(session.as_bytes(), &mut output).expect("clean two-session run");
-        let text = String::from_utf8(output).unwrap();
-        let mut lines = text.lines();
-
-        let df =
-            Dataflow::compile(&model, point.crossbar, DacConfig::new(1).unwrap(), &dup).unwrap();
-        let gene = MacAllocGene::from_raw(request_a.gene.clone()).unwrap();
-        for (power, id) in [(9.0, 0u64), (15.0, 7)] {
-            parse_ready(lines.next().expect("ready line")).expect("valid ready");
-            let response = ScoreResponse::parse(lines.next().expect("score line")).unwrap();
-            assert_eq!(response.id, id);
-            let core = EvalCore::new(
-                &model,
-                Watts(power),
-                &hw,
-                MacroMode::Specialized,
-                Objective::PowerEfficiency,
-                EvalCacheConfig::default(),
-            );
-            let expect = core.score(&df, point, &gene);
-            assert_eq!(response.score.fitness.to_bits(), expect.fitness.to_bits());
-            assert_eq!(response.score.feasible, expect.feasible);
+        run_worker(&session[..], &mut output, &FaultInjection::default())
+            .expect("clean two-session run");
+        let mut reader = &output[..];
+        for (power, id_base) in [(9.0, 0u64), (15.0, 7)] {
+            expect_ready(&mut reader);
+            let (got_base, scores) = expect_reply(&mut reader);
+            assert_eq!(got_base, id_base);
+            let expect = core_at(&model, &hw, power).score(&df, point, &g);
+            assert_eq!(scores[0].fitness.to_bits(), expect.fitness.to_bits());
+            assert_eq!(scores[0].feasible, expect.feasible);
         }
-        assert!(lines.next().is_none());
+        assert!(reader.is_empty());
     }
 
     #[test]
     fn worker_rejects_garbage_with_an_error_line() {
         let mut output = Vec::new();
-        let err = run_worker("not json\n".as_bytes(), &mut output).unwrap_err();
+        let err = run_worker(
+            "not json\n".as_bytes(),
+            &mut output,
+            &FaultInjection::default(),
+        )
+        .unwrap_err();
         assert!(err.contains("malformed"), "{err}");
         let text = String::from_utf8(output).unwrap();
         assert!(text.contains("\"error\""), "{text}");
 
-        // A score before init is rejected too.
+        // A score frame before init is rejected too.
+        let mut session = Vec::new();
+        push_batch(&mut session, 0, &[item(&gene(1))]);
         let mut output = Vec::new();
-        let premature = r#"{"type":"score","id":0,"ratio":"0","xb":128,"cell":2,"dac":1,"wt_dup":[],"gene":[]}"#;
-        let err = run_worker(format!("{premature}\n").as_bytes(), &mut output).unwrap_err();
+        let err = run_worker(&session[..], &mut output, &FaultInjection::default()).unwrap_err();
         assert!(err.contains("init"), "{err}");
+
+        // Inside an open session the peer reads frames, so garbage is
+        // answered with an error frame.
+        let mut session = Vec::new();
+        push_init(&mut session, 9.0);
+        session.extend_from_slice(b"{\"type\":\"dance\"}\n");
+        let mut output = Vec::new();
+        let err = run_worker(&session[..], &mut output, &FaultInjection::default()).unwrap_err();
+        let mut reader = &output[..];
+        expect_ready(&mut reader);
+        let (kind, payload) = read_frame(&mut reader).expect("error frame");
+        assert_eq!(kind, FRAME_ERROR);
+        assert_eq!(decode_error_frame(&payload), err);
+
+        // So is a truncated batch frame.
+        let mut session = Vec::new();
+        push_init(&mut session, 9.0);
+        write_frame(&mut session, FRAME_SCORE_BATCH, &[0u8; 5]).unwrap();
+        let mut output = Vec::new();
+        assert!(run_worker(&session[..], &mut output, &FaultInjection::default()).is_err());
+        let mut reader = &output[..];
+        expect_ready(&mut reader);
+        assert_eq!(read_frame(&mut reader).unwrap().0, FRAME_ERROR);
     }
 
     #[test]
     fn worker_answers_infeasible_for_uncompilable_requests() {
-        let mut session = String::new();
-        session.push_str(&init_line(9.0));
-        session.push('\n');
+        let mut session = Vec::new();
+        push_init(&mut session, 9.0);
         // Wrong wt_dup arity: the dataflow cannot compile.
-        let bad = ScoreRequest {
-            id: 5,
+        let bad = BatchItem {
             ratio_bits: 0.3f64.to_bits(),
             xb_size: 128,
             cell_bits: 2,
@@ -1076,20 +995,21 @@ mod tests {
             wt_dup: vec![1],
             gene: vec![1],
         };
-        session.push_str(&bad.to_line());
-        session.push('\n');
+        push_batch(&mut session, 5, &[bad]);
         let mut output = Vec::new();
-        run_worker(session.as_bytes(), &mut output).expect("session survives");
-        let text = String::from_utf8(output).unwrap();
-        let response = ScoreResponse::parse(text.lines().nth(1).unwrap()).unwrap();
-        assert_eq!(response.id, 5);
-        assert_eq!(response.score, CandidateScore::INFEASIBLE);
+        run_worker(&session[..], &mut output, &FaultInjection::default())
+            .expect("session survives");
+        let mut reader = &output[..];
+        expect_ready(&mut reader);
+        let (id_base, scores) = expect_reply(&mut reader);
+        assert_eq!(id_base, 5);
+        assert_eq!(scores, vec![CandidateScore::INFEASIBLE]);
     }
 
     #[test]
     fn empty_session_is_clean() {
         let mut output = Vec::new();
-        run_worker("".as_bytes(), &mut output).expect("empty session");
+        run_worker("".as_bytes(), &mut output, &FaultInjection::default()).expect("empty session");
         assert!(output.is_empty());
     }
 
@@ -1115,37 +1035,23 @@ mod tests {
 
     #[test]
     fn fault_injected_drop_closes_the_session_after_replying_earlier_exchanges() {
-        // Two v1 score requests with drop_every = 2: the first is answered,
-        // the second silently closes the session — the connection-drop
-        // shape the remote backend's inline recompute handles.
-        let mut session = String::new();
-        session.push_str(&init_line(9.0));
-        session.push('\n');
-        for id in [1u64, 2] {
-            let request = ScoreRequest {
-                id,
-                ratio_bits: 0.3f64.to_bits(),
-                xb_size: 128,
-                cell_bits: 2,
-                dac_bits: 1,
-                wt_dup: vec![1],
-                gene: vec![1],
-            };
-            session.push_str(&request.to_line());
-            session.push('\n');
+        // Two score frames with drop_every = 2: the first is answered, the
+        // second silently closes the session — the connection-drop shape
+        // the remote backend's inline recompute handles.
+        let mut session = Vec::new();
+        push_init(&mut session, 9.0);
+        for id_base in [1u64, 2] {
+            push_batch(&mut session, id_base, &[item(&gene(1))]);
         }
         let faults = FaultInjection {
             drop_every: Some(2),
             ..Default::default()
         };
         let mut output = Vec::new();
-        run_worker_session(session.as_bytes(), &mut output, 1, &faults)
-            .expect("drop ends the session cleanly");
-        let text = String::from_utf8(output).unwrap();
-        let mut lines = text.lines();
-        let _ready = lines.next().expect("ready line");
-        let reply = ScoreResponse::parse(lines.next().expect("first score answered")).unwrap();
-        assert_eq!(reply.id, 1);
-        assert_eq!(lines.next(), None, "second exchange must drop, not reply");
+        run_worker(&session[..], &mut output, &faults).expect("drop ends the session cleanly");
+        let mut reader = &output[..];
+        expect_ready(&mut reader);
+        assert_eq!(expect_reply(&mut reader).0, 1, "first exchange answered");
+        assert!(reader.is_empty(), "second exchange must drop, not reply");
     }
 }

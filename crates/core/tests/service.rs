@@ -2,9 +2,8 @@
 //! concurrent-job determinism, weighted-fair multi-tenant scheduling,
 //! graceful drain, and the socket serve/submit surface.
 //!
-//! (The subprocess worker-pool amortization test lives in
-//! `crates/gateway/tests/backend_pool.rs`, next to the `pimsyn` binary it
-//! spawns.)
+//! (The shared remote connection-pool test lives in
+//! `crates/gateway/tests/backend_pool.rs`.)
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};

@@ -9,18 +9,15 @@
 //! scoring runs:
 //!
 //! - [`InlineBackend`] — on the calling thread (the default);
-//! - [`ThreadPoolBackend`] — across scoped worker threads with
-//!   deterministic input-order reduction;
-//! - [`SubprocessBackend`] — across a pool of `pimsyn --worker` child
-//!   processes speaking the versioned JSON-lines [`protocol`], with
-//!   per-worker failure isolation (a crashed worker is respawned and its
-//!   in-flight jobs recomputed inline);
-//! - [`RemoteBackend`] — across `pimsyn worker-serve` daemons on other
-//!   machines, speaking the same protocol over TCP with latency-aware
-//!   chunking and the same failure isolation (a dead daemon's chunks
-//!   recompute inline).
+//! - [`RemoteBackend`] — across `pimsyn worker-serve` daemons, speaking
+//!   the worker [`protocol`] (JSON-lines session setup, binary score
+//!   frames) over TCP with latency-aware chunking and per-connection
+//!   failure isolation (a dead daemon's chunks recompute inline).
 //!
-//! Scoring is a pure function of the candidate, so every backend produces
+//! Scoring a candidate costs microseconds, so moving it off the scoring
+//! thread only pays when another machine has idle cores; in-process thread
+//! and child-process pools were measured slower than inline and removed.
+//! Scoring is a pure function of the candidate, so both backends produce
 //! bit-identical scores; only wall-clock and process placement differ. A
 //! [`PersistentEvalCache`] can be layered over any backend to warm-start
 //! repeated runs from a cache file.
@@ -32,16 +29,12 @@ pub mod protocol;
 mod remote;
 mod session;
 mod shared;
-mod subprocess;
-mod threads;
 
 pub use inline::InlineBackend;
 pub use persist::{CacheSnapshot, PersistentEvalCache, EVAL_CACHE_SCHEMA};
 pub use planner::{ChunkPlanner, ChunkPolicy, MIN_JOBS_PER_CHUNK};
 pub use remote::{RemoteBackend, RemoteEndpointStatus, RemoteFleetSnapshot, RemotePool};
 pub use shared::SharedEvalResources;
-pub use subprocess::{SubprocessBackend, WorkerPool};
-pub use threads::ThreadPoolBackend;
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,14 +64,12 @@ pub struct BackendStats {
     pub batches: usize,
     /// Jobs scored (across all batches).
     pub jobs: usize,
-    /// Jobs scored by out-of-process workers (subprocess children or
-    /// remote daemons).
+    /// Jobs scored by remote worker daemons.
     pub remote_jobs: usize,
     /// Jobs recomputed inline after a worker failure.
     pub fallback_jobs: usize,
-    /// Worker processes spawned (subprocess) or connections opened
-    /// (remote).
-    pub worker_spawns: usize,
+    /// Worker connections opened (dial + handshake).
+    pub connects: usize,
 }
 
 /// A cooperative cancellation probe handed to backends: `true` means the
@@ -147,8 +138,7 @@ pub struct DirectoryEntry {
 /// between jobs (or at least between chunks) so cancellation stays prompt
 /// even inside a large batch.
 pub trait EvalBackend: Send + Sync + std::fmt::Debug {
-    /// Short identifier (`"inline"`, `"threads"`, `"subprocess"`,
-    /// `"remote"`).
+    /// Short identifier (`"inline"` or `"remote"`).
     fn name(&self) -> &'static str;
 
     /// Scores `jobs`, returning one score per job in input order; jobs
@@ -173,22 +163,9 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
         BackendStats::default()
     }
 
-    /// Releases buffered state (worker pipes, pending writes). Called once
+    /// Releases buffered state (leased connections). Called once
     /// when a synthesis run finishes; a no-op for stateless backends.
     fn flush(&self) {}
-}
-
-/// Sizes a worker pool for one batch: `configured` workers (`0` = one per
-/// available core), never more than there are jobs, never less than one.
-pub(crate) fn pool_width(configured: usize, jobs: usize) -> usize {
-    let width = if configured == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        configured
-    };
-    width.clamp(1, jobs.max(1))
 }
 
 /// A `u64` (typically `f64::to_bits`) as the 16-digit hex string used by
@@ -208,18 +185,6 @@ pub enum BackendKind {
     /// Score on the calling thread (the default).
     #[default]
     Inline,
-    /// Score batches across scoped threads; `workers == 0` means one per
-    /// available core.
-    ThreadPool {
-        /// Worker-thread count (0 = auto).
-        workers: usize,
-    },
-    /// Score batches across `pimsyn --worker` child processes; `workers ==
-    /// 0` means one per available core.
-    Subprocess {
-        /// Worker-process count (0 = auto).
-        workers: usize,
-    },
     /// Score batches across `pimsyn worker-serve` daemons over TCP.
     Remote {
         /// The worker-daemon roster, `host:port` each (validated by
@@ -310,38 +275,23 @@ pub fn parse_remote_roster(spec: &str) -> Result<Vec<String>, String> {
 }
 
 impl BackendKind {
-    /// Parses the CLI spelling: `inline`, `threads[:N]`, `subprocess[:N]`,
-    /// or `remote:host:port[,host:port...]`.
+    /// Parses the CLI spelling: `inline` or
+    /// `remote:host:port[,host:port...]`.
     ///
     /// # Errors
     ///
-    /// A human-readable message for unknown names, malformed counts, or an
-    /// invalid remote roster.
+    /// A human-readable message for unknown names or an invalid remote
+    /// roster.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (name, arg) = match s.split_once(':') {
             Some((n, a)) => (n, Some(a)),
             None => (s, None),
         };
-        let count = |arg: Option<&str>| -> Result<usize, String> {
-            match arg {
-                None => Ok(0),
-                Some(t) => match t.parse::<usize>() {
-                    Ok(n) if n >= 1 => Ok(n),
-                    _ => Err(format!("worker count `{t}` must be a positive integer")),
-                },
-            }
-        };
         match name {
             "inline" => match arg {
                 None => Ok(BackendKind::Inline),
-                Some(_) => Err("`inline` takes no worker count".to_string()),
+                Some(_) => Err("`inline` takes no argument".to_string()),
             },
-            "threads" => Ok(BackendKind::ThreadPool {
-                workers: count(arg)?,
-            }),
-            "subprocess" => Ok(BackendKind::Subprocess {
-                workers: count(arg)?,
-            }),
             "remote" => match arg {
                 Some(spec) => Ok(BackendKind::Remote {
                     endpoints: parse_remote_roster(spec)?,
@@ -352,8 +302,7 @@ impl BackendKind {
                 ),
             },
             other => Err(format!(
-                "unknown backend `{other}` (expected inline, threads[:N], subprocess[:N] or \
-                 remote:host:port[,...])"
+                "unknown backend `{other}` (expected inline or remote:host:port[,...])"
             )),
         }
     }
@@ -363,17 +312,13 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendKind::Inline => write!(f, "inline"),
-            BackendKind::ThreadPool { workers: 0 } => write!(f, "threads"),
-            BackendKind::ThreadPool { workers } => write!(f, "threads:{workers}"),
-            BackendKind::Subprocess { workers: 0 } => write!(f, "subprocess"),
-            BackendKind::Subprocess { workers } => write!(f, "subprocess:{workers}"),
             BackendKind::Remote { endpoints } => write!(f, "remote:{}", endpoints.join(",")),
         }
     }
 }
 
 /// Full evaluation-backend configuration: the backend kind plus the
-/// cross-run persistence, sharing and worker-command overrides.
+/// cross-run persistence, sharing and remote-authentication settings.
 #[derive(Debug, Clone, Default)]
 pub struct EvalBackendConfig {
     /// Which backend scores candidates.
@@ -388,10 +333,6 @@ pub struct EvalBackendConfig {
     /// `None` writes every memo entry. Only meaningful with
     /// [`cache_file`](Self::cache_file).
     pub cache_max_entries: Option<usize>,
-    /// Override of the worker executable for [`BackendKind::Subprocess`]
-    /// (default: the current executable, which is the `pimsyn` CLI when
-    /// launched from it). Tests point this at a built `pimsyn` binary.
-    pub worker_command: Option<PathBuf>,
     /// File holding the shared auth token [`BackendKind::Remote`] presents
     /// to `pimsyn worker-serve` daemons started with `--auth-token-file`
     /// (whitespace-trimmed; `None` connects unauthenticated). An
@@ -399,8 +340,8 @@ pub struct EvalBackendConfig {
     /// stderr warning — like every other remote failure, scoring falls
     /// back inline and results are unaffected.
     pub remote_token_file: Option<PathBuf>,
-    /// Resources shared across runs: one subprocess worker pool (leased and
-    /// re-sessioned per run instead of spawned per run) and one in-memory
+    /// Resources shared across runs: one remote connection pool (leased and
+    /// re-sessioned per run instead of dialed per run) and one in-memory
     /// evaluation-cache snapshot store. Sharing is transparent — outcomes
     /// are bit-identical with or without it. Set by `sweep_power` and the
     /// synthesis service; `None` keeps every resource private to the run.
@@ -415,7 +356,6 @@ impl PartialEq for EvalBackendConfig {
         self.kind == other.kind
             && self.cache_file == other.cache_file
             && self.cache_max_entries == other.cache_max_entries
-            && self.worker_command == other.worker_command
             && self.remote_token_file == other.remote_token_file
             && match (&self.shared, &other.shared) {
                 (None, None) => true,
@@ -454,13 +394,6 @@ impl EvalBackendConfig {
         self
     }
 
-    /// Overrides the subprocess worker executable.
-    #[must_use]
-    pub fn with_worker_command(mut self, path: impl Into<PathBuf>) -> Self {
-        self.worker_command = Some(path.into());
-        self
-    }
-
     /// Sets the file holding the shared token remote connections
     /// authenticate with.
     #[must_use]
@@ -469,7 +402,8 @@ impl EvalBackendConfig {
         self
     }
 
-    /// Attaches cross-run shared resources (worker pool, snapshot store).
+    /// Attaches cross-run shared resources (connection pool, snapshot
+    /// store).
     #[must_use]
     pub fn with_shared_resources(mut self, shared: Arc<SharedEvalResources>) -> Self {
         self.shared = Some(shared);
@@ -477,22 +411,11 @@ impl EvalBackendConfig {
     }
 
     /// Instantiates the configured backend. With shared resources attached,
-    /// a subprocess backend leases processes from the shared pool (created
+    /// a remote backend leases connections from the shared pool (created
     /// on first use) instead of owning a private one.
     pub fn build(&self) -> Box<dyn EvalBackend> {
         match &self.kind {
             BackendKind::Inline => Box::new(InlineBackend::default()),
-            BackendKind::ThreadPool { workers } => Box::new(ThreadPoolBackend::new(*workers)),
-            BackendKind::Subprocess { workers } => match &self.shared {
-                Some(shared) => Box::new(SubprocessBackend::with_pool(
-                    *workers,
-                    shared.worker_pool(*workers, self.worker_command.clone()),
-                )),
-                None => Box::new(SubprocessBackend::new(
-                    *workers,
-                    self.worker_command.clone(),
-                )),
-            },
             BackendKind::Remote { endpoints } => {
                 let token = self
                     .remote_token_file
@@ -522,22 +445,16 @@ mod tests {
     #[test]
     fn backend_kind_parses_cli_spellings() {
         assert_eq!(BackendKind::parse("inline").unwrap(), BackendKind::Inline);
-        assert_eq!(
-            BackendKind::parse("threads").unwrap(),
-            BackendKind::ThreadPool { workers: 0 }
-        );
-        assert_eq!(
-            BackendKind::parse("threads:3").unwrap(),
-            BackendKind::ThreadPool { workers: 3 }
-        );
-        assert_eq!(
-            BackendKind::parse("subprocess:2").unwrap(),
-            BackendKind::Subprocess { workers: 2 }
-        );
         assert!(BackendKind::parse("inline:2").is_err());
-        assert!(BackendKind::parse("subprocess:0").is_err());
-        assert!(BackendKind::parse("subprocess:x").is_err());
-        assert!(BackendKind::parse("gpu").is_err());
+        // The in-process pool spellings are gone; the error names the two
+        // backends that remain.
+        for spec in ["threads", "threads:2", "subprocess:2", "gpu"] {
+            let err = BackendKind::parse(spec).unwrap_err();
+            assert!(
+                err.contains("inline") && err.contains("remote:host:port[,...]"),
+                "`{spec}` -> `{err}`"
+            );
+        }
     }
 
     #[test]
@@ -592,9 +509,9 @@ mod tests {
     fn backend_kind_displays_round_trip() {
         for kind in [
             BackendKind::Inline,
-            BackendKind::ThreadPool { workers: 0 },
-            BackendKind::ThreadPool { workers: 4 },
-            BackendKind::Subprocess { workers: 2 },
+            BackendKind::Remote {
+                endpoints: vec!["127.0.0.1:7801".to_string()],
+            },
         ] {
             assert_eq!(BackendKind::parse(&kind.to_string()).unwrap(), kind);
         }
@@ -604,16 +521,12 @@ mod tests {
     fn config_builds_the_configured_backend() {
         assert_eq!(EvalBackendConfig::inline().build().name(), "inline");
         assert_eq!(
-            EvalBackendConfig::new(BackendKind::ThreadPool { workers: 2 })
-                .build()
-                .name(),
-            "threads"
-        );
-        assert_eq!(
-            EvalBackendConfig::new(BackendKind::Subprocess { workers: 1 })
-                .build()
-                .name(),
-            "subprocess"
+            EvalBackendConfig::new(BackendKind::Remote {
+                endpoints: vec!["127.0.0.1:7801".to_string()],
+            })
+            .build()
+            .name(),
+            "remote"
         );
     }
 }

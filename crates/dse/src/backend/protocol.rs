@@ -1,39 +1,36 @@
-//! The versioned JSON-lines protocol between the [`SubprocessBackend`]
-//! (client) and `pimsyn --worker` child processes (server).
+//! The worker protocol between the [`RemoteBackend`] (client) and
+//! `pimsyn worker-serve` daemons (server), over TCP.
 //!
-//! Every message is one JSON object per line. The session opens with an
-//! [`WorkerInit`] fixing everything that is constant for a synthesis run
-//! (model, hardware parameters, power budget, macro mode, objective); the
-//! worker answers with a `ready` line, then serves [`ScoreRequest`]s with
-//! [`ScoreResponse`]s until its stdin closes. Floats travel as
-//! `f64::to_bits` hex strings, so a worker's scores are *bit-identical* to
-//! inline scoring — JSON number formatting never enters the loop.
+//! A connection opens with a JSON-lines transport handshake ([`hello_line`]
+//! → [`welcome_line`], see [`TcpHandshake`]). A run's *session* then opens
+//! with a JSON [`WorkerInit`] line fixing everything that is constant for
+//! the run (model, hardware parameters, power budget, macro mode,
+//! objective); the worker answers with a [`ready_line`]. Scoring follows as
+//! length-prefixed binary frames carrying whole batches — see
+//! [`write_frame`]/[`read_frame`] and the `encode_*`/`decode_*` codecs. A
+//! later init line on the same connection re-opens the session for a new
+//! run. Floats travel as IEEE-754 bit patterns (hex strings in JSON,
+//! little-endian words in frames), so a worker's scores are
+//! *bit-identical* to inline scoring.
 //!
 //! ```text
-//! > {"type":"init","pimsyn_worker":1,"model":"{...}","hw":"{...}",
+//! > {"type":"hello","pimsyn_worker":2}
+//! < {"type":"welcome","pimsyn_worker":2,"slots":4}
+//! > {"type":"init","pimsyn_worker":2,"model":"{...}","hw":"{...}",
 //!    "power":"4022000000000000","macro_mode":"specialized","objective":"eff"}
-//! < {"type":"ready","pimsyn_worker":1}
-//! > {"type":"score","id":0,"ratio":"3fd3333333333333","xb":128,"cell":2,
-//!    "dac":1,"wt_dup":[1,1],"gene":[1,1001]}
-//! < {"type":"score","id":0,"fitness":"3ff8a3d70a3d70a4","feasible":true}
+//! < {"type":"ready","pimsyn_worker":2}
+//! > [0x01][len][score_batch payload]
+//! < [0x02][len][score_reply payload]
 //! ```
 //!
-//! Version negotiation is strict about the *base* version: an init whose
-//! `pimsyn_worker` field does not equal [`PROTOCOL_VERSION`] is rejected,
-//! and the backend falls back to inline scoring rather than risking a
-//! silent mismatch. *Upgrades* beyond the base version are negotiated
-//! downward through an optional `max` field (ignored by v1 peers, which
-//! tolerate unknown fields on init/ready): both sides advertise the
-//! highest version they speak, and the session runs at the minimum of the
-//! two. Version 2 replaces the per-candidate JSON score lines with
-//! length-prefixed binary frames carrying whole batches — see
-//! [`write_frame`]/[`read_frame`] and the `encode_*`/`decode_*` codecs.
-//! Everything else (init/ready, the TCP hello/welcome handshake) stays
-//! JSON lines in every version.
+//! There is one protocol version, [`PROTOCOL_VERSION`], and every
+//! handshake line must carry exactly it: a peer speaking any other version
+//! is rejected at `hello`/`init`, and the dialing backend falls back to
+//! inline scoring rather than risking a silent misparse.
 //!
-//! [`SubprocessBackend`]: super::SubprocessBackend
+//! [`RemoteBackend`]: super::RemoteBackend
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use pimsyn_arch::MacroMode;
 use pimsyn_model::json::JsonValue;
@@ -41,27 +38,9 @@ use pimsyn_model::json::JsonValue;
 use crate::ea::Objective;
 use crate::eval::CandidateScore;
 
-/// Base wire-format version; bumped on any incompatible message change.
-/// Every peer must speak at least this.
-pub const PROTOCOL_VERSION: u32 = 1;
-
-/// Highest wire-format version this build speaks. Sessions run at the
-/// minimum of both peers' maxima (a peer that advertises nothing is a v1
-/// peer).
-pub const PROTOCOL_VERSION_MAX: u32 = 2;
-
-fn hex_bits(v: f64) -> JsonValue {
-    JsonValue::String(super::u64_hex(v.to_bits()))
-}
-
-fn parse_bits(v: Option<&JsonValue>, key: &str) -> Result<f64, String> {
-    let s = v
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing bit-pattern field `{key}`"))?;
-    super::parse_u64_hex(s)
-        .map(f64::from_bits)
-        .ok_or_else(|| format!("`{key}` is not a hex bit pattern"))
-}
+/// Wire-format version; bumped on any incompatible message change. Every
+/// handshake line carries it and peers must match it exactly.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
     v.get(key)
@@ -69,16 +48,16 @@ fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("missing integer field `{key}`"))
 }
 
-fn usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, String> {
-    v.get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("missing array field `{key}`"))?
-        .iter()
-        .map(|x| {
-            x.as_usize()
-                .ok_or_else(|| format!("`{key}` entries must be non-negative integers"))
-        })
-        .collect()
+/// Checks a handshake line's `pimsyn_worker` field against
+/// [`PROTOCOL_VERSION`].
+fn check_version(doc: &JsonValue, what: &str) -> Result<(), String> {
+    match doc.get("pimsyn_worker").and_then(JsonValue::as_usize) {
+        Some(v) if v == PROTOCOL_VERSION as usize => Ok(()),
+        Some(v) => Err(format!(
+            "protocol version mismatch: peer speaks {v}, this build speaks {PROTOCOL_VERSION}"
+        )),
+        None => Err(format!("{what} lacks a `pimsyn_worker` version")),
+    }
 }
 
 /// Stable string tag of a [`MacroMode`].
@@ -163,24 +142,24 @@ impl WorkerInit {
                 "objective".into(),
                 JsonValue::String(objective_tag(self.objective).into()),
             ),
-            // Version negotiation: advertise the highest version we speak.
-            // v1 peers ignore unknown fields and answer a plain `ready`,
-            // which negotiates the session down to v1.
-            ("max".into(), JsonValue::Number(PROTOCOL_VERSION_MAX as f64)),
         ])
         .to_string()
     }
 
-    fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        let version = doc
-            .get("pimsyn_worker")
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| "missing `pimsyn_worker` version".to_string())?;
-        if version != PROTOCOL_VERSION as usize {
-            return Err(format!(
-                "protocol version mismatch: peer speaks {version}, this build speaks {PROTOCOL_VERSION}"
-            ));
+    /// Parses one received init line, enforcing the protocol version.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message for malformed JSON, a non-`init` message,
+    /// a version mismatch or missing fields.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let doc = JsonValue::parse(line).map_err(|e| format!("malformed init line: {e}"))?;
+        match doc.get("type").and_then(JsonValue::as_str) {
+            Some("init") => {}
+            Some(other) => return Err(format!("expected an init line, got type `{other}`")),
+            None => return Err("missing message `type`".to_string()),
         }
+        check_version(&doc, "init line")?;
         let text = |key: &str| -> Result<String, String> {
             doc.get(key)
                 .and_then(JsonValue::as_str)
@@ -198,114 +177,7 @@ impl WorkerInit {
     }
 }
 
-/// One candidate to score, fully serialized (the worker recompiles the
-/// dataflow from `(crossbar, dac, wt_dup)` — compilation is deterministic
-/// and costs microseconds, and consecutive requests reuse the compiled
-/// dataflow through a worker-side cache).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoreRequest {
-    /// Request id, echoed in the response.
-    pub id: u64,
-    /// `RatioRram` as `f64::to_bits`.
-    pub ratio_bits: u64,
-    /// Crossbar rows/columns.
-    pub xb_size: usize,
-    /// ReRAM cell resolution in bits.
-    pub cell_bits: u32,
-    /// DAC resolution in bits.
-    pub dac_bits: u32,
-    /// Per-layer weight duplication (fixes the dataflow).
-    pub wt_dup: Vec<usize>,
-    /// The `MacAlloc` gene (`owner*1000 + n` encoding).
-    pub gene: Vec<u32>,
-}
-
-impl ScoreRequest {
-    /// Serializes to one protocol line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        JsonValue::Object(vec![
-            ("type".into(), JsonValue::String("score".into())),
-            ("id".into(), JsonValue::Number(self.id as f64)),
-            (
-                "ratio".into(),
-                JsonValue::String(super::u64_hex(self.ratio_bits)),
-            ),
-            ("xb".into(), JsonValue::Number(self.xb_size as f64)),
-            ("cell".into(), JsonValue::Number(self.cell_bits as f64)),
-            ("dac".into(), JsonValue::Number(self.dac_bits as f64)),
-            (
-                "wt_dup".into(),
-                JsonValue::Array(
-                    self.wt_dup
-                        .iter()
-                        .map(|&d| JsonValue::Number(d as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "gene".into(),
-                JsonValue::Array(
-                    self.gene
-                        .iter()
-                        .map(|&g| JsonValue::Number(g as f64))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
-    }
-
-    fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        let ratio = doc
-            .get("ratio")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "missing `ratio`".to_string())?;
-        Ok(Self {
-            id: field_usize(doc, "id")? as u64,
-            ratio_bits: super::parse_u64_hex(ratio)
-                .ok_or_else(|| "`ratio` is not a hex bit pattern".to_string())?,
-            xb_size: field_usize(doc, "xb")?,
-            cell_bits: field_usize(doc, "cell")? as u32,
-            dac_bits: field_usize(doc, "dac")? as u32,
-            wt_dup: usize_array(doc, "wt_dup")?,
-            gene: usize_array(doc, "gene")?
-                .into_iter()
-                .map(|g| g as u32)
-                .collect(),
-        })
-    }
-}
-
-/// Any message a worker may receive.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkerRequest {
-    /// Session setup (must be the first message).
-    Init(WorkerInit),
-    /// A candidate to score.
-    Score(ScoreRequest),
-}
-
-impl WorkerRequest {
-    /// Parses one received line.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for malformed JSON, unknown message types or
-    /// missing fields.
-    pub fn parse(line: &str) -> Result<Self, String> {
-        let doc = JsonValue::parse(line).map_err(|e| format!("malformed request: {e}"))?;
-        match doc.get("type").and_then(JsonValue::as_str) {
-            Some("init") => WorkerInit::from_json(&doc).map(WorkerRequest::Init),
-            Some("score") => ScoreRequest::from_json(&doc).map(WorkerRequest::Score),
-            Some(other) => Err(format!("unknown request type `{other}`")),
-            None => Err("missing request `type`".to_string()),
-        }
-    }
-}
-
-/// The worker's `ready` acknowledgment after a successful init. A plain
-/// ready (no `max` field) is what a v1 worker sends; it negotiates the
-/// session to v1.
+/// The worker's `ready` acknowledgment after a successful init.
 pub fn ready_line() -> String {
     JsonValue::Object(vec![
         ("type".into(), JsonValue::String("ready".into())),
@@ -317,82 +189,43 @@ pub fn ready_line() -> String {
     .to_string()
 }
 
-/// A `ready` acknowledgment that also advertises the session version the
-/// worker settled on (the minimum of both peers' maxima).
-pub fn ready_line_with_max(max: u32) -> String {
-    JsonValue::Object(vec![
-        ("type".into(), JsonValue::String("ready".into())),
-        (
-            "pimsyn_worker".into(),
-            JsonValue::Number(PROTOCOL_VERSION as f64),
-        ),
-        ("max".into(), JsonValue::Number(max as f64)),
-    ])
-    .to_string()
-}
-
-/// Checks a received `ready` line (type and version).
+/// Checks a received `ready` line (type and version); an `error` line's
+/// detail is surfaced as the message.
 ///
 /// # Errors
 ///
 /// A human-readable message when the line is not a matching `ready`.
 pub fn parse_ready(line: &str) -> Result<(), String> {
-    parse_ready_version(line).map(|_| ())
-}
-
-/// Checks a received `ready` line and returns the negotiated session
-/// version: the minimum of this build's [`PROTOCOL_VERSION_MAX`] and what
-/// the worker advertised (a ready without `max` is a v1 worker).
-///
-/// # Errors
-///
-/// A human-readable message when the line is not a matching `ready`.
-pub fn parse_ready_version(line: &str) -> Result<u32, String> {
     let doc = JsonValue::parse(line).map_err(|e| format!("malformed ready line: {e}"))?;
-    if doc.get("type").and_then(JsonValue::as_str) != Some("ready") {
-        return Err(format!("expected a ready line, got: {line}"));
+    match doc.get("type").and_then(JsonValue::as_str) {
+        Some("ready") => check_version(&doc, "ready line"),
+        Some("error") => Err(format!(
+            "worker rejected the session: {}",
+            error_detail(&doc)
+        )),
+        _ => Err(format!("expected a ready line, got: {line}")),
     }
-    match doc.get("pimsyn_worker").and_then(JsonValue::as_usize) {
-        Some(v) if v == PROTOCOL_VERSION as usize => {}
-        Some(v) => {
-            return Err(format!(
-                "protocol version mismatch: worker speaks {v}, this build speaks {PROTOCOL_VERSION}"
-            ))
-        }
-        None => return Err("ready line lacks a version".to_string()),
-    }
-    let peer_max = doc
-        .get("max")
-        .and_then(JsonValue::as_usize)
-        .unwrap_or(PROTOCOL_VERSION as usize) as u32;
-    Ok(peer_max.clamp(PROTOCOL_VERSION, PROTOCOL_VERSION_MAX))
 }
 
-/// The highest protocol version a received init/ready/hello line
-/// advertises: its `max` field, or [`PROTOCOL_VERSION`] when absent (a v1
-/// peer). Tolerant by design — never fails, so it can be read off any
-/// already-validated line.
-pub fn peer_max_version(line: &str) -> u32 {
-    JsonValue::parse(line)
-        .ok()
-        .and_then(|doc| doc.get("max").and_then(JsonValue::as_usize))
-        .map(|v| (v as u32).max(PROTOCOL_VERSION))
-        .unwrap_or(PROTOCOL_VERSION)
+fn error_detail(doc: &JsonValue) -> &str {
+    doc.get("detail")
+        .and_then(JsonValue::as_str)
+        .unwrap_or("unspecified")
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2: length-prefixed binary frames.
+// Score exchange: length-prefixed binary frames.
 //
-// A v2 session still opens with the JSON init/ready lines above; only the
-// score exchange switches to binary frames. Frame layout:
+// A session opens with the JSON init/ready lines above; the score exchange
+// then runs on binary frames. Frame layout:
 //
 //     [ kind: u8 ][ len: u32 LE ][ payload: len bytes ]
 //
 // Every frame kind is < 0x20, so the first byte of a frame can never be
 // `{` (0x7b) — a server reading a mixed stream peeks one byte to tell a
 // JSON line (session re-init) from a binary frame. All integers are
-// little-endian; floats travel as their IEEE-754 bit patterns, so v2
-// scores are bit-identical to v1 and inline scores.
+// little-endian; floats travel as their IEEE-754 bit patterns, so remote
+// scores are bit-identical to inline scores.
 // ---------------------------------------------------------------------------
 
 /// Frame kind: a whole batch of candidates to score (client → worker).
@@ -408,7 +241,7 @@ pub const FRAME_ERROR: u8 = 0x03;
 /// corrupt stream rather than an allocation request.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Writes one v2 frame. The caller flushes (batches are one frame, so one
+/// Writes one frame. The caller flushes (batches are one frame, so one
 /// flush per batch).
 ///
 /// # Errors
@@ -422,12 +255,16 @@ pub fn write_frame(writer: &mut dyn Write, kind: u8, payload: &[u8]) -> io::Resu
     writer.write_all(payload)
 }
 
-/// Reads one v2 frame, returning its kind and payload.
+/// Reads one frame, returning its kind and payload.
+///
+/// The payload buffer grows with the bytes actually received, never with
+/// the declared length alone: a peer that announces a large frame and
+/// then stalls or hangs up costs what it sent, not [`MAX_FRAME_LEN`].
 ///
 /// # Errors
 ///
-/// Any transport read error; a clean EOF before the header surfaces as
-/// [`io::ErrorKind::UnexpectedEof`]; an over-long length as
+/// Any transport read error; an EOF before the header or mid-payload
+/// surfaces as [`io::ErrorKind::UnexpectedEof`]; an over-long length as
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_frame(reader: &mut dyn BufRead) -> io::Result<(u8, Vec<u8>)> {
     let mut head = [0u8; 5];
@@ -439,14 +276,22 @@ pub fn read_frame(reader: &mut dyn BufRead) -> io::Result<(u8, Vec<u8>)> {
             format!("frame length {len} exceeds the {MAX_FRAME_LEN} cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    Read::take(&mut *reader, u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok((head[0], payload))
 }
 
-/// One candidate inside a v2 [`FRAME_SCORE_BATCH`] payload: the fields of
-/// a v1 [`ScoreRequest`] minus the id, which is implicit (`id_base +
-/// index`).
+/// One candidate inside a [`FRAME_SCORE_BATCH`] payload; its id is
+/// implicit (`id_base + index`). The worker recompiles the dataflow from
+/// `(xb_size, cell_bits, dac_bits, wt_dup)` — compilation is deterministic
+/// and costs microseconds, and consecutive candidates reuse the compiled
+/// dataflow through a worker-side cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchItem {
     /// `RatioRram` as `f64::to_bits`.
@@ -630,21 +475,17 @@ pub fn decode_error_frame(payload: &[u8]) -> String {
     String::from_utf8_lossy(payload).into_owned()
 }
 
-/// The transport-handshake frames of the *TCP* flavor of this protocol.
+/// The transport-handshake lines that open every connection.
 ///
-/// Over stdio (the [`SubprocessBackend`](super::SubprocessBackend)) the two
-/// endpoints trust each other by construction — the parent spawned the
-/// child. Over TCP (`pimsyn worker-serve` ↔
-/// [`RemoteBackend`](super::RemoteBackend)) the dialing side must first
-/// prove it speaks the same protocol version and, when the daemon was
-/// started with an auth token, that it knows the shared secret. One
-/// handshake exchange opens each connection, *before* the stock
-/// init/ready/score session:
+/// The dialing [`RemoteBackend`](super::RemoteBackend) must first prove it
+/// speaks the same protocol version and, when the daemon was started with
+/// an auth token, that it knows the shared secret. One handshake exchange
+/// opens each connection, *before* the init/ready/score session:
 ///
 /// ```text
-/// > {"type":"hello","pimsyn_worker":1}                  (or +"token":"…")
-/// < {"type":"welcome","pimsyn_worker":1,"slots":4}
-/// ... stock worker session (init / ready / score) ...
+/// > {"type":"hello","pimsyn_worker":2}                  (or +"token":"…")
+/// < {"type":"welcome","pimsyn_worker":2,"slots":4}
+/// ... worker session (init / ready / score frames) ...
 /// ```
 ///
 /// A rejected handshake — version mismatch, bad or missing token, all
@@ -704,15 +545,7 @@ pub fn parse_handshake(line: &str) -> Result<TcpHandshake, String> {
         Some(other) => return Err(format!("expected a hello or stop handshake, got `{other}`")),
         None => return Err("missing handshake `type`".to_string()),
     };
-    match doc.get("pimsyn_worker").and_then(JsonValue::as_usize) {
-        Some(v) if v == PROTOCOL_VERSION as usize => {}
-        Some(v) => {
-            return Err(format!(
-                "protocol version mismatch: peer speaks {v}, this build speaks {PROTOCOL_VERSION}"
-            ))
-        }
-        None => return Err("handshake lacks a `pimsyn_worker` version".to_string()),
-    }
+    check_version(&doc, "handshake")?;
     let token = doc
         .get("token")
         .and_then(JsonValue::as_str)
@@ -751,23 +584,14 @@ pub fn parse_welcome(line: &str) -> Result<usize, String> {
     match doc.get("type").and_then(JsonValue::as_str) {
         Some("welcome") => {}
         Some("error") => {
-            let detail = doc
-                .get("detail")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unspecified");
-            return Err(format!("worker daemon rejected the connection: {detail}"));
+            return Err(format!(
+                "worker daemon rejected the connection: {}",
+                error_detail(&doc)
+            ))
         }
         _ => return Err(format!("expected a welcome line, got: {line}")),
     }
-    match doc.get("pimsyn_worker").and_then(JsonValue::as_usize) {
-        Some(v) if v == PROTOCOL_VERSION as usize => {}
-        Some(v) => {
-            return Err(format!(
-                "protocol version mismatch: daemon speaks {v}, this build speaks {PROTOCOL_VERSION}"
-            ))
-        }
-        None => return Err("welcome line lacks a version".to_string()),
-    }
+    check_version(&doc, "welcome line")?;
     Ok(field_usize(&doc, "slots")?.max(1))
 }
 
@@ -794,13 +618,10 @@ pub fn parse_bye(line: &str) -> Result<(), String> {
     let doc = JsonValue::parse(line).map_err(|e| format!("malformed bye line: {e}"))?;
     match doc.get("type").and_then(JsonValue::as_str) {
         Some("bye") => Ok(()),
-        Some("error") => {
-            let detail = doc
-                .get("detail")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unspecified");
-            Err(format!("worker daemon refused to stop: {detail}"))
-        }
+        Some("error") => Err(format!(
+            "worker daemon refused to stop: {}",
+            error_detail(&doc)
+        )),
         _ => Err(format!("expected a bye line, got: {line}")),
     }
 }
@@ -822,118 +643,86 @@ pub fn error_line(detail: &str) -> String {
     .to_string()
 }
 
-/// One scored candidate, keyed back to its request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreResponse {
-    /// The request id this answers.
-    pub id: u64,
-    /// The score (fitness bit pattern survives the wire exactly).
-    pub score: CandidateScore,
-}
-
-impl ScoreResponse {
-    /// Serializes to one protocol line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        JsonValue::Object(vec![
-            ("type".into(), JsonValue::String("score".into())),
-            ("id".into(), JsonValue::Number(self.id as f64)),
-            ("fitness".into(), hex_bits(self.score.fitness)),
-            ("feasible".into(), JsonValue::Bool(self.score.feasible)),
-        ])
-        .to_string()
-    }
-
-    /// Parses one received line.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for malformed or non-`score` lines (an
-    /// `error` line's detail is surfaced as the message).
-    pub fn parse(line: &str) -> Result<Self, String> {
-        let doc = JsonValue::parse(line).map_err(|e| format!("malformed response: {e}"))?;
-        match doc.get("type").and_then(JsonValue::as_str) {
-            Some("score") => {}
-            Some("error") => {
-                let detail = doc
-                    .get("detail")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unspecified");
-                return Err(format!("worker reported an error: {detail}"));
-            }
-            _ => return Err(format!("expected a score line, got: {line}")),
-        }
-        Ok(Self {
-            id: field_usize(&doc, "id")? as u64,
-            score: CandidateScore {
-                fitness: parse_bits(doc.get("fitness"), "fitness")?,
-                feasible: doc
-                    .get("feasible")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or_else(|| "missing `feasible`".to_string())?,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn init_round_trips() {
-        let init = WorkerInit {
+    fn sample_init() -> WorkerInit {
+        WorkerInit {
             model_json: r#"{"name":"m"}"#.to_string(),
             hw_json: r#"{"clock":"0"}"#.to_string(),
             power_bits: 9.0f64.to_bits(),
             macro_mode: MacroMode::Identical,
             objective: Objective::EnergyDelayProduct,
-        };
-        match WorkerRequest::parse(&init.to_line()).unwrap() {
-            WorkerRequest::Init(back) => assert_eq!(back, init),
-            other => panic!("parsed as {other:?}"),
         }
+    }
+
+    #[test]
+    fn init_round_trips() {
+        let init = sample_init();
+        assert_eq!(WorkerInit::parse(&init.to_line()).unwrap(), init);
     }
 
     #[test]
     fn score_request_round_trips() {
-        let req = ScoreRequest {
-            id: 42,
-            ratio_bits: 0.3f64.to_bits(),
-            xb_size: 128,
-            cell_bits: 2,
-            dac_bits: 1,
-            wt_dup: vec![1, 2, 3],
-            gene: vec![1, 1001, 2002],
-        };
-        match WorkerRequest::parse(&req.to_line()).unwrap() {
-            WorkerRequest::Score(back) => assert_eq!(back, req),
-            other => panic!("parsed as {other:?}"),
-        }
+        // A score request is one batch item; its extreme values survive
+        // the score_batch payload bit for bit.
+        let items = vec![
+            BatchItem {
+                ratio_bits: (0.1f64 + 0.2f64).to_bits(),
+                xb_size: u32::MAX,
+                cell_bits: 0,
+                dac_bits: 8,
+                wt_dup: vec![u32::MAX, 0, 1],
+                gene: vec![0, u32::MAX],
+            },
+            BatchItem {
+                ratio_bits: f64::NAN.to_bits(),
+                xb_size: 128,
+                cell_bits: 2,
+                dac_bits: 1,
+                wt_dup: vec![],
+                gene: vec![],
+            },
+        ];
+        let payload = encode_score_batch(u64::MAX, &items);
+        assert_eq!(decode_score_batch(&payload).unwrap(), (u64::MAX, items));
     }
 
     #[test]
     fn score_response_round_trips_awkward_floats() {
-        // Bit patterns JSON number formatting could disturb.
-        for fitness in [0.1 + 0.2, 1.0000000000000002, f64::MIN_POSITIVE, 0.0] {
-            let resp = ScoreResponse {
-                id: 7,
-                score: CandidateScore {
-                    fitness,
-                    feasible: true,
-                },
-            };
-            let back = ScoreResponse::parse(&resp.to_line()).unwrap();
-            assert_eq!(back.score.fitness.to_bits(), fitness.to_bits());
-            assert_eq!(back.id, 7);
+        // Bit patterns decimal number formatting could disturb survive the
+        // reply frame exactly.
+        let fitnesses = [0.1 + 0.2, 1.0000000000000002, f64::MIN_POSITIVE, 0.0, -0.0];
+        let scores: Vec<CandidateScore> = fitnesses
+            .iter()
+            .map(|&fitness| CandidateScore {
+                fitness,
+                feasible: true,
+            })
+            .collect();
+        let (id_base, back) = decode_score_reply(&encode_score_reply(7, &scores)).unwrap();
+        assert_eq!(id_base, 7);
+        for (got, want) in back.iter().zip(&fitnesses) {
+            assert_eq!(got.fitness.to_bits(), want.to_bits());
         }
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let line = r#"{"type":"init","pimsyn_worker":999,"model":"{}","hw":"{}","power":"0","macro_mode":"specialized","objective":"eff"}"#;
-        let err = WorkerRequest::parse(line).unwrap_err();
+        // A stale v1 peer is refused at init and at ready, never misparsed.
+        let v1_init =
+            sample_init()
+                .to_line()
+                .replacen("\"pimsyn_worker\":2", "\"pimsyn_worker\":1", 1);
+        let err = WorkerInit::parse(&v1_init).unwrap_err();
         assert!(err.contains("version mismatch"), "{err}");
-        assert!(parse_ready(r#"{"type":"ready","pimsyn_worker":2}"#).is_err());
+        let line = r#"{"type":"init","pimsyn_worker":999,"model":"{}","hw":"{}","power":"0","macro_mode":"specialized","objective":"eff"}"#;
+        assert!(WorkerInit::parse(line)
+            .unwrap_err()
+            .contains("version mismatch"));
+        assert!(parse_ready(r#"{"type":"ready","pimsyn_worker":1}"#).is_err());
+        assert!(parse_ready(r#"{"type":"ready"}"#).is_err());
         assert!(parse_ready(&ready_line()).is_ok());
     }
 
@@ -962,10 +751,13 @@ mod tests {
 
     #[test]
     fn tcp_handshake_rejects_mismatches_and_garbage() {
-        let err = parse_handshake(r#"{"type":"hello","pimsyn_worker":9}"#).unwrap_err();
-        assert!(err.contains("version mismatch"), "{err}");
+        for stale in [1, 9] {
+            let line = format!(r#"{{"type":"hello","pimsyn_worker":{stale}}}"#);
+            let err = parse_handshake(&line).unwrap_err();
+            assert!(err.contains("version mismatch"), "{err}");
+        }
         assert!(parse_handshake(r#"{"type":"hello"}"#).is_err());
-        assert!(parse_handshake(r#"{"type":"init","pimsyn_worker":1}"#).is_err());
+        assert!(parse_handshake(r#"{"type":"init","pimsyn_worker":2}"#).is_err());
         assert!(parse_handshake("not json").is_err());
         let err = parse_welcome(r#"{"type":"welcome","pimsyn_worker":9,"slots":1}"#).unwrap_err();
         assert!(err.contains("version mismatch"), "{err}");
@@ -978,46 +770,10 @@ mod tests {
 
     #[test]
     fn error_lines_surface_their_detail() {
-        let err = ScoreResponse::parse(&error_line("boom")).unwrap_err();
+        let err = parse_ready(&error_line("boom")).unwrap_err();
         assert!(err.contains("boom"), "{err}");
-        assert!(WorkerRequest::parse("not json").is_err());
-        assert!(WorkerRequest::parse(r#"{"type":"dance"}"#).is_err());
-    }
-
-    #[test]
-    fn ready_negotiation_picks_the_minimum() {
-        // A plain v1 ready (no `max`) negotiates the session to v1.
-        assert_eq!(parse_ready_version(&ready_line()).unwrap(), 1);
-        // A v2 worker advertises max 2 and the session runs at v2.
-        assert_eq!(parse_ready_version(&ready_line_with_max(2)).unwrap(), 2);
-        // A future worker advertising beyond our max is capped to our max.
-        assert_eq!(parse_ready_version(&ready_line_with_max(99)).unwrap(), 2);
-        // A bogus max below the base version clamps up to the base.
-        assert_eq!(parse_ready_version(&ready_line_with_max(0)).unwrap(), 1);
-        // The base version check stays strict regardless of `max`.
-        assert!(parse_ready_version(r#"{"type":"ready","pimsyn_worker":9,"max":2}"#).is_err());
-    }
-
-    #[test]
-    fn init_lines_advertise_max_and_v1_parsers_ignore_it() {
-        let init = WorkerInit {
-            model_json: "{}".to_string(),
-            hw_json: "{}".to_string(),
-            power_bits: 0,
-            macro_mode: MacroMode::Specialized,
-            objective: Objective::PowerEfficiency,
-        };
-        let line = init.to_line();
-        assert_eq!(peer_max_version(&line), PROTOCOL_VERSION_MAX);
-        // The strict v1 parser accepts the line (unknown fields ignored).
-        assert!(matches!(
-            WorkerRequest::parse(&line),
-            Ok(WorkerRequest::Init(_))
-        ));
-        // A v1 init (no `max`) reads as a v1 peer.
-        let v1_line = line.replacen(",\"max\":2", "", 1);
-        assert_ne!(v1_line, line, "the max field was present to strip");
-        assert_eq!(peer_max_version(&v1_line), 1);
+        assert!(WorkerInit::parse("not json").is_err());
+        assert!(WorkerInit::parse(r#"{"type":"dance"}"#).is_err());
     }
 
     #[test]
@@ -1125,6 +881,13 @@ mod tests {
         head.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         let mut reader = io::BufReader::new(&head[..]);
         assert!(read_frame(&mut reader).is_err());
+        // A maximal declared length followed by a few bytes and EOF is a
+        // truncated frame, not a 64 MiB allocation.
+        let mut short = vec![FRAME_SCORE_BATCH];
+        short.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        short.extend_from_slice(&[0u8; 16]);
+        let err = read_frame(&mut io::BufReader::new(&short[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -1135,5 +898,98 @@ mod tests {
         let (kind, payload) = read_frame(&mut reader).unwrap();
         assert_eq!(kind, FRAME_ERROR);
         assert_eq!(decode_error_frame(&payload), "session went sideways");
+    }
+
+    /// Seeded fuzz over the frame reader and both payload decoders: valid
+    /// frames, their truncations, random bit flips and random garbage must
+    /// never panic, and whatever fails must fail as a typed `Err`.
+    #[test]
+    fn fuzzed_frames_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5eed_f4a3);
+        let random_item = |rng: &mut StdRng| BatchItem {
+            ratio_bits: rng.next_u64(),
+            xb_size: rng.gen_range(1u32..=512),
+            cell_bits: rng.gen_range(1u32..=8),
+            dac_bits: rng.gen_range(1u32..=8),
+            wt_dup: (0..rng.gen_range(0usize..6))
+                .map(|_| rng.gen_range(1u32..=16))
+                .collect(),
+            gene: (0..rng.gen_range(0usize..6)).map(|_| rng.gen()).collect(),
+        };
+        // Exercises every decoder on one frame's bytes; the only
+        // acceptable outcomes are Ok or a typed Err.
+        let probe = |wire: &[u8]| {
+            if let Ok((_, payload)) = read_frame(&mut io::BufReader::new(wire)) {
+                let _ = decode_score_batch(&payload);
+                let _ = decode_score_reply(&payload);
+            }
+            let _ = decode_score_batch(wire);
+            let _ = decode_score_reply(wire);
+        };
+        for round in 0..400 {
+            let id_base = rng.next_u64();
+            let payload = if round % 2 == 0 {
+                let items: Vec<BatchItem> = (0..rng.gen_range(0usize..5))
+                    .map(|_| random_item(&mut rng))
+                    .collect();
+                let payload = encode_score_batch(id_base, &items);
+                assert_eq!(decode_score_batch(&payload).unwrap(), (id_base, items));
+                payload
+            } else {
+                let scores: Vec<CandidateScore> = (0..rng.gen_range(0usize..5))
+                    .map(|_| CandidateScore {
+                        fitness: f64::from_bits(rng.next_u64()),
+                        feasible: rng.gen_bool(0.5),
+                    })
+                    .collect();
+                let payload = encode_score_reply(id_base, &scores);
+                let (got_base, got) = decode_score_reply(&payload).unwrap();
+                assert_eq!(got_base, id_base);
+                assert_eq!(got.len(), scores.len());
+                payload
+            };
+            let kind = if round % 2 == 0 {
+                FRAME_SCORE_BATCH
+            } else {
+                FRAME_SCORE_REPLY
+            };
+            let mut wire = Vec::new();
+            write_frame(&mut wire, kind, &payload).unwrap();
+            probe(&wire);
+
+            // Every truncation of the frame is a typed error from the
+            // reader; every truncation of the payload from its decoder.
+            for cut in 0..wire.len() {
+                assert!(read_frame(&mut io::BufReader::new(&wire[..cut])).is_err());
+                probe(&wire[..cut]);
+            }
+            for cut in 0..payload.len() {
+                if kind == FRAME_SCORE_BATCH {
+                    assert!(decode_score_batch(&payload[..cut]).is_err(), "cut={cut}");
+                } else {
+                    assert!(decode_score_reply(&payload[..cut]).is_err(), "cut={cut}");
+                }
+            }
+
+            // Random bit flips anywhere, header included.
+            for _ in 0..8 {
+                let mut flipped = wire.clone();
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let at = rng.gen_range(0..flipped.len());
+                    flipped[at] ^= 1 << rng.gen_range(0u32..8);
+                }
+                probe(&flipped);
+            }
+        }
+        // Pure garbage of assorted lengths.
+        for _ in 0..400 {
+            let garbage: Vec<u8> = (0..rng.gen_range(0usize..64))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            probe(&garbage);
+        }
     }
 }

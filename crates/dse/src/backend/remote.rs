@@ -1,9 +1,7 @@
 //! The remote backend: scoring candidates on `pimsyn worker-serve` daemons
-//! over TCP, speaking the versioned worker [`protocol`](super::protocol)
-//! (JSON-lines v1, binary-framed v2 — negotiated per session).
+//! over TCP, speaking the worker [`protocol`](super::protocol).
 //!
-//! Connection ownership and per-run session state are separate layers,
-//! mirroring the subprocess backend's pool/backend split:
+//! Connection ownership and per-run session state are separate layers:
 //!
 //! - A [`RemotePool`] owns the TCP *connections* and the endpoint roster.
 //!   The roster starts from the statically configured endpoints
@@ -17,8 +15,7 @@
 //!   instead of paying dial + handshake again.
 //! - A [`RemoteBackend`] holds one run's *session*: the init line fixing
 //!   the run's model/hardware/power/objective and the leased connections
-//!   that have already acknowledged it (each at its negotiated protocol
-//!   version).
+//!   that have already acknowledged it.
 //!
 //! Each connection is one worker *slot* on a daemon:
 //!
@@ -28,18 +25,15 @@
 //!    remain available to this pool, which caps how many connections it
 //!    opens to that endpoint) or an `error` frame and a close.
 //! 2. **Session** (once per run, re-opened when a connection is recycled):
-//!    the stock `init` → `ready` exchange fixing the run's model,
-//!    hardware, power, macro mode and objective — and negotiating the
-//!    session's protocol version (v2 peers switch to binary frames, v1
-//!    peers keep JSON lines).
-//! 3. **Scoring**: whole batches in one binary frame (v2) or per-candidate
-//!    JSON lines (v1); floats travel as IEEE-754 bit patterns either way —
-//!    remote scores are bit-identical to inline ones.
+//!    the `init` → `ready` exchange fixing the run's model, hardware,
+//!    power, macro mode and objective.
+//! 3. **Scoring**: whole chunks in one binary frame each way; floats travel
+//!    as IEEE-754 bit patterns — remote scores are bit-identical to inline
+//!    ones.
 //!
-//! **Chunking is latency-aware and throughput-weighted.** The subprocess
-//! backend splits every batch across all workers because pipes are cheap;
-//! a network round trip is not, so small batches would drown in per-chunk
-//! latency. The remote backend instead targets at least
+//! **Chunking is latency-aware and throughput-weighted.** A network round
+//! trip is expensive next to scoring a candidate, so small batches would
+//! drown in per-chunk latency. The remote backend targets at least
 //! [`MIN_JOBS_PER_CHUNK`](super::MIN_JOBS_PER_CHUNK) jobs per connection
 //! and hands the batch to the pure [`ChunkPlanner`](super::ChunkPlanner):
 //! each connection's share is weighted by its endpoint's estimated
@@ -59,9 +53,9 @@
 //! endpoints) and is refined by every `welcome`, so a single job fans out
 //! across several sessions of a multi-slot daemon from the first batch.
 //!
-//! **Failure isolation matches the subprocess backend.** A connection that
-//! dies, answers garbage or fails the handshake (including a version
-//! mismatch or rejected token) is dropped, its in-flight chunk is
+//! **Failures are isolated per connection.** A connection that dies,
+//! answers garbage or fails the handshake (including a version mismatch
+//! or rejected token) is dropped, its in-flight chunk is
 //! recomputed inline, and the endpoint backs off from reconnection
 //! attempts for [`RECONNECT_BACKOFF`]. With no reachable endpoint at all,
 //! whole batches silently degrade to inline scoring — results are
@@ -73,7 +67,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -81,7 +75,6 @@ use crate::eval::{CandidateScore, EvalCore};
 
 use super::planner::{ChunkPlanner, ChunkPolicy, MIN_JOBS_PER_CHUNK};
 use super::protocol::{hello_line, parse_welcome, NO_FREE_SLOTS};
-use super::session::WireMode;
 use super::{session, BackendStats, EvalBackend, EvalJob, StopCheck, WorkerDirectory};
 
 /// Resolving + dialing an endpoint that does not answer must not stall the
@@ -191,9 +184,9 @@ struct Endpoint {
     /// Set when the endpoint left the roster; surviving connections are
     /// closed as they return to the pool.
     retired: AtomicBool,
-    /// Protocol version negotiated by the most recent session on this
-    /// endpoint (`0` until one succeeds) — observability only.
-    protocol: AtomicU32,
+    /// Set once a session has opened on this endpoint; until then the
+    /// directory's advertised slot count keeps seeding the connection cap.
+    sessioned: AtomicBool,
     /// The directory registration epoch this endpoint was last seen at
     /// (`0` when the directory does not track epochs). A changed epoch
     /// means the worker deregistered and re-announced between roster
@@ -216,7 +209,7 @@ impl Endpoint {
             addr,
             discovered,
             retired: AtomicBool::new(false),
-            protocol: AtomicU32::new(0),
+            sessioned: AtomicBool::new(false),
             epoch: AtomicU64::new(epoch),
             health: Mutex::new(EndpointHealth {
                 slots: slots.max(1),
@@ -249,13 +242,9 @@ impl Endpoint {
     }
 }
 
-/// One live TCP connection: transport handshake done, possibly sessioned
-/// at the negotiated wire mode.
+/// One live TCP connection: transport handshake done, possibly sessioned.
 struct RemoteConn {
     endpoint: Arc<Endpoint>,
-    /// The framing the current session negotiated (v1 until a session is
-    /// opened; re-negotiated on every re-init).
-    wire: WireMode,
     writer: TcpStream,
     reader: BufReader<TcpStream>,
 }
@@ -270,8 +259,6 @@ pub struct RemoteEndpointStatus {
     pub discovered: bool,
     /// Connections currently open to it (idle + sessioned + reserved).
     pub live: usize,
-    /// Protocol version of the most recent session (`0` = none yet).
-    pub protocol: u32,
     /// Cumulative wall-clock seconds this pool spent in successful scoring
     /// round trips to the endpoint. With [`batches`] this yields the
     /// mean per-batch scoring latency (a Prometheus summary pair).
@@ -311,8 +298,8 @@ pub struct RemoteFleetSnapshot {
 ///
 /// The pool knows nothing about any particular synthesis run: it dials,
 /// handshakes, stores and retires raw connections. Run-specific state
-/// (the init line, which connections acknowledged it, at which protocol
-/// version) lives in the [`RemoteBackend`] leasing from it. Dropping the
+/// (the init line, which connections acknowledged it) lives in the
+/// [`RemoteBackend`] leasing from it. Dropping the
 /// pool closes every idle connection.
 pub struct RemotePool {
     token: Option<String>,
@@ -434,7 +421,7 @@ impl RemotePool {
                         let mut health = endpoint.health.lock().expect("endpoint");
                         health.reset_estimates();
                         health.slots = entry.slots.max(1);
-                    } else if endpoint.protocol.load(Ordering::Relaxed) == 0 {
+                    } else if !endpoint.sessioned.load(Ordering::Relaxed) {
                         // No session yet: keep the advertised slot count
                         // fresh until a `welcome` takes over.
                         let mut health = endpoint.health.lock().expect("endpoint");
@@ -533,7 +520,6 @@ impl RemotePool {
             .map_err(|e| format!("cannot clone the {addr} stream: {e}"))?;
         let mut conn = RemoteConn {
             endpoint: Arc::clone(endpoint),
-            wire: WireMode::V1,
             writer,
             reader: BufReader::new(reader),
         };
@@ -574,7 +560,6 @@ impl RemotePool {
                     addr: e.addr.clone(),
                     discovered: e.discovered,
                     live: health.live,
-                    protocol: e.protocol.load(Ordering::Relaxed),
                     batch_seconds: health.batch_seconds,
                     batches: health.batches,
                     jobs: health.jobs,
@@ -672,16 +657,12 @@ impl RemoteBackend {
     }
 
     /// Opens this run's session on a connection (fresh or recycled):
-    /// `init` → `ready` under the handshake's bounded patience, recording
-    /// the negotiated wire mode on the connection and its endpoint.
+    /// `init` → `ready` under the handshake's bounded patience.
     fn open_session(conn: &mut RemoteConn, init: &str) -> Result<(), String> {
         let _ = conn.writer.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-        let wire = session::open_session_io(&mut conn.writer, &mut conn.reader, init)?;
+        session::open_session_io(&mut conn.writer, &mut conn.reader, init)?;
         let _ = conn.writer.set_read_timeout(Some(SCORE_TIMEOUT));
-        conn.wire = wire;
-        conn.endpoint
-            .protocol
-            .store(wire.version(), Ordering::Relaxed);
+        conn.endpoint.sessioned.store(true, Ordering::Relaxed);
         Ok(())
     }
 
@@ -804,13 +785,8 @@ impl RemoteBackend {
         }
         if let Some(mut conn) = conn {
             let started = Instant::now();
-            let exchanged = session::exchange_scores_in(
-                conn.wire,
-                &mut conn.writer,
-                &mut conn.reader,
-                jobs,
-                id_base,
-            );
+            let exchanged =
+                session::exchange_batch(&mut conn.writer, &mut conn.reader, jobs, id_base);
             match exchanged {
                 Ok(scores) => {
                     let elapsed = started.elapsed().as_secs_f64();
@@ -1056,7 +1032,7 @@ impl EvalBackend for RemoteBackend {
             jobs: self.jobs.load(Ordering::Relaxed),
             remote_jobs: self.remote.load(Ordering::Relaxed),
             fallback_jobs: self.fallback.load(Ordering::Relaxed),
-            worker_spawns: self.connects.load(Ordering::Relaxed),
+            connects: self.connects.load(Ordering::Relaxed),
         }
     }
 

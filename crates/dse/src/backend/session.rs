@@ -1,16 +1,9 @@
-//! Transport-agnostic worker-session machinery shared by the
-//! [`SubprocessBackend`](super::SubprocessBackend) (stdio pipes) and the
-//! [`RemoteBackend`](super::RemoteBackend) (TCP sockets).
-//!
-//! Both backends drive the same versioned JSON-lines
-//! [`protocol`](super::protocol) against the same server loop
-//! (`run_worker` in the `pimsyn` crate); only the byte transport differs.
-//! This module holds everything above the transport: building the
+//! The worker-session exchanges the [`RemoteBackend`](super::RemoteBackend)
+//! runs over an established, handshaked connection: building the
 //! session-opening init line from an [`EvalCore`], the init → `ready`
-//! exchange that (re-)opens a session, and the write-requests /
-//! read-responses loop that scores one chunk. Timeout handling stays with
-//! the caller — pipes need a helper thread, sockets use
-//! `set_read_timeout` — which is why these helpers take plain
+//! exchange that (re-)opens a session, and the one-frame-out /
+//! one-frame-back exchange that scores a chunk. Timeouts stay with the
+//! caller (socket read timeouts), which is why these helpers take plain
 //! `Write`/`BufRead` endpoints.
 
 use std::io::{BufRead, Write};
@@ -18,41 +11,10 @@ use std::io::{BufRead, Write};
 use crate::eval::{CandidateScore, EvalCore};
 
 use super::protocol::{
-    decode_error_frame, decode_score_reply, encode_score_batch, parse_ready_version, read_frame,
-    write_frame, BatchItem, ScoreRequest, ScoreResponse, WorkerInit, FRAME_ERROR,
-    FRAME_SCORE_BATCH, FRAME_SCORE_REPLY,
+    decode_error_frame, decode_score_reply, encode_score_batch, parse_ready, read_frame,
+    write_frame, BatchItem, WorkerInit, FRAME_ERROR, FRAME_SCORE_BATCH, FRAME_SCORE_REPLY,
 };
 use super::EvalJob;
-
-/// Which framing a negotiated session speaks for score exchanges.
-/// Init/ready (and the TCP hello/welcome handshake) are JSON lines in
-/// both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WireMode {
-    /// Protocol v1: one JSON line per request and per response.
-    V1,
-    /// Protocol v2: whole batches in one length-prefixed binary frame.
-    V2,
-}
-
-impl WireMode {
-    /// The mode a negotiated session version maps to.
-    pub(crate) fn for_version(version: u32) -> Self {
-        if version >= 2 {
-            WireMode::V2
-        } else {
-            WireMode::V1
-        }
-    }
-
-    /// The numeric protocol version of this mode.
-    pub(crate) fn version(self) -> u32 {
-        match self {
-            WireMode::V1 => 1,
-            WireMode::V2 => 2,
-        }
-    }
-}
 
 /// The session-opening init line fixing one run's model, hardware, power,
 /// macro mode and objective (bit-exact encodings throughout).
@@ -68,47 +30,29 @@ pub(crate) fn init_line_for(core: &EvalCore<'_>) -> String {
 }
 
 /// Opens (or re-opens) a run session over an established transport: writes
-/// the init line and reads the matching `ready` acknowledgment, returning
-/// the [`WireMode`] the worker negotiated (v1 workers answer a plain ready
-/// and the session stays on JSON lines). The caller guards against a peer
-/// that never answers (helper thread for pipes, socket read timeout for
-/// TCP).
+/// the init line and reads the matching `ready` acknowledgment. The caller
+/// guards against a peer that never answers (socket read timeout).
 pub(crate) fn open_session_io(
     writer: &mut dyn Write,
     reader: &mut dyn BufRead,
     init_line: &str,
-) -> Result<WireMode, String> {
+) -> Result<(), String> {
     writeln!(writer, "{init_line}").map_err(|e| format!("session write failed: {e}"))?;
     writer
         .flush()
         .map_err(|e| format!("session flush failed: {e}"))?;
     let mut line = String::new();
     match reader.read_line(&mut line) {
-        Ok(n) if n > 0 => parse_ready_version(line.trim()).map(WireMode::for_version),
+        Ok(n) if n > 0 => parse_ready(line.trim()),
         Ok(_) => Err("worker closed the stream before acknowledging init".to_string()),
         Err(e) => Err(format!("session read failed: {e}")),
     }
 }
 
-/// Scores one chunk over an open session using whichever framing the
-/// session negotiated.
-pub(crate) fn exchange_scores_in(
-    mode: WireMode,
-    writer: &mut dyn Write,
-    reader: &mut dyn BufRead,
-    jobs: &[EvalJob<'_>],
-    id_base: u64,
-) -> Result<Vec<CandidateScore>, String> {
-    match mode {
-        WireMode::V1 => exchange_scores(writer, reader, jobs, id_base),
-        WireMode::V2 => exchange_scores_v2(writer, reader, jobs, id_base),
-    }
-}
-
-/// Scores one chunk over an open *v2* session: the whole chunk goes out as
-/// one `score_batch` frame and comes back as one `score_reply` frame in
-/// request order — two syscalls per chunk instead of two per candidate.
-pub(crate) fn exchange_scores_v2(
+/// Scores one chunk over an open session: the whole chunk goes out as one
+/// `score_batch` frame and comes back as one `score_reply` frame in request
+/// order — two syscalls per chunk.
+pub(crate) fn exchange_batch(
     writer: &mut dyn Write,
     reader: &mut dyn BufRead,
     jobs: &[EvalJob<'_>],
@@ -156,56 +100,4 @@ pub(crate) fn exchange_scores_v2(
         ));
     }
     Ok(scores)
-}
-
-/// Scores one chunk over an open session: writes every request as a single
-/// payload, then reads the matching responses (replies may arrive in any
-/// order; they are re-slotted by id).
-pub(crate) fn exchange_scores(
-    writer: &mut dyn Write,
-    reader: &mut dyn BufRead,
-    jobs: &[EvalJob<'_>],
-    id_base: u64,
-) -> Result<Vec<CandidateScore>, String> {
-    let mut payload = String::new();
-    for (k, job) in jobs.iter().enumerate() {
-        let request = ScoreRequest {
-            id: id_base + k as u64,
-            ratio_bits: job.point.ratio_rram.to_bits(),
-            xb_size: job.point.crossbar.size(),
-            cell_bits: job.point.crossbar.cell_bits(),
-            dac_bits: job.df.dac().bits(),
-            wt_dup: job.df.programs().iter().map(|p| p.wt_dup).collect(),
-            gene: job.gene.as_slice().to_vec(),
-        };
-        payload.push_str(&request.to_line());
-        payload.push('\n');
-    }
-    writer
-        .write_all(payload.as_bytes())
-        .map_err(|e| format!("worker write failed: {e}"))?;
-    writer
-        .flush()
-        .map_err(|e| format!("worker flush failed: {e}"))?;
-    let mut out: Vec<Option<CandidateScore>> = vec![None; jobs.len()];
-    for _ in 0..jobs.len() {
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("worker read failed: {e}"))?;
-        if n == 0 {
-            return Err("worker closed its output mid-batch".to_string());
-        }
-        let response = ScoreResponse::parse(line.trim())?;
-        let index = response
-            .id
-            .checked_sub(id_base)
-            .filter(|&i| (i as usize) < jobs.len())
-            .ok_or_else(|| format!("worker answered unknown id {}", response.id))?
-            as usize;
-        if out[index].replace(response.score).is_some() {
-            return Err(format!("worker answered id {} twice", response.id));
-        }
-    }
-    Ok(out.into_iter().map(|s| s.expect("all ids seen")).collect())
 }

@@ -4,10 +4,10 @@
 //! handle; sweeps, batches and long-lived services run *many* runs and waste
 //! work re-creating what could be shared:
 //!
-//! - the subprocess [`WorkerPool`]: spawning and handshaking `pimsyn
-//!   --worker` children per run pays process startup over and over, when the
-//!   processes themselves are run-agnostic (a lease re-opens the session
-//!   with the new run's model and hardware);
+//! - the remote [`RemotePool`]: dialing and handshaking `pimsyn
+//!   worker-serve` daemons per run pays connection setup over and over,
+//!   when the connections themselves are run-agnostic (a lease re-opens the
+//!   session with the new run's model and hardware);
 //! - the persistent evaluation cache: two jobs with the same fingerprint
 //!   running back-to-back (or concurrently) each re-read — or worse, miss —
 //!   the cache file, when the first job's snapshot is sitting in memory.
@@ -16,7 +16,7 @@
 //! through [`EvalBackendConfig::shared`](super::EvalBackendConfig). Sharing
 //! is *transparent*: scoring is a pure function of the candidate, so runs
 //! with and without shared resources produce bit-identical outcomes; only
-//! wall-clock (and spawn counts) differ.
+//! wall-clock (and connect counts) differ.
 //!
 //! One caveat, inherited from the cache file itself: a run curtailed by
 //! `max_unique_evaluations` stops by *work actually done* (memo misses),
@@ -31,7 +31,6 @@ use std::sync::{Arc, Mutex};
 
 use super::persist::CacheSnapshot;
 use super::remote::{RemoteFleetSnapshot, RemotePool};
-use super::subprocess::WorkerPool;
 use super::WorkerDirectory;
 
 /// In-memory snapshots retained per shared handle; mirrors the cache file's
@@ -39,18 +38,14 @@ use super::WorkerDirectory;
 const MAX_SNAPSHOTS: usize = super::persist::PersistentEvalCache::MAX_RUNS;
 
 /// Evaluation resources shared by every run holding a clone of the handle:
-/// one lazily-created subprocess [`WorkerPool`] and an in-memory
-/// fingerprint-keyed store of evaluation-cache snapshots.
+/// one lazily-created [`RemotePool`] and an in-memory fingerprint-keyed
+/// store of evaluation-cache snapshots.
 ///
 /// Create one per logical job group (a service, a sweep, a batch) and
 /// attach it via
 /// [`EvalBackendConfig::with_shared_resources`](super::EvalBackendConfig::with_shared_resources);
 /// `sweep_power` and the `SynthesisService` do this automatically.
 pub struct SharedEvalResources {
-    /// Created on first use, with the first caller's worker count and
-    /// command; later callers lease from the same pool regardless of their
-    /// own configuration (the pool's cap governs globally).
-    pool: Mutex<Option<Arc<WorkerPool>>>,
     /// Created on first remote-backend use, with the first caller's auth
     /// token; later callers *merge* their static endpoints into the shared
     /// roster, so the fleet only ever widens. Holds worker TCP connections
@@ -66,10 +61,10 @@ pub struct SharedEvalResources {
 
 impl std::fmt::Debug for SharedEvalResources {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pool = self.pool.lock().expect("shared pool");
+        let remote = self.remote.lock().expect("shared remote pool").is_some();
         let snapshots = self.snapshots.lock().expect("shared snapshots");
         f.debug_struct("SharedEvalResources")
-            .field("pool", &pool.as_deref())
+            .field("remote", &remote)
             .field("snapshots", &snapshots.len())
             .finish()
     }
@@ -78,7 +73,6 @@ impl std::fmt::Debug for SharedEvalResources {
 impl Default for SharedEvalResources {
     fn default() -> Self {
         Self {
-            pool: Mutex::new(None),
             remote: Mutex::new(None),
             directory: Mutex::new(None),
             snapshots: Mutex::new(Vec::new()),
@@ -90,38 +84,6 @@ impl SharedEvalResources {
     /// A fresh shared handle with no pool and no snapshots.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// The shared worker pool, created on first call (that caller's
-    /// `workers` cap and `command` stick for the pool's lifetime).
-    pub(crate) fn worker_pool(
-        &self,
-        workers: usize,
-        command: Option<std::path::PathBuf>,
-    ) -> Arc<WorkerPool> {
-        let mut slot = self.pool.lock().expect("shared pool");
-        slot.get_or_insert_with(|| Arc::new(WorkerPool::new(workers, command)))
-            .clone()
-    }
-
-    /// Worker processes spawned by the shared pool so far (0 before any
-    /// subprocess-backend run leased from it). A long-lived pool serving N
-    /// jobs reports at most the configured pool width here, not N × width.
-    pub fn worker_spawns(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("shared pool")
-            .as_ref()
-            .map_or(0, |p| p.spawn_count())
-    }
-
-    /// Worker processes currently alive in the shared pool.
-    pub fn live_workers(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("shared pool")
-            .as_ref()
-            .map_or(0, |p| p.live_workers())
     }
 
     /// The shared remote connection pool, created on first call (that
@@ -256,20 +218,5 @@ mod tests {
         shared.set_worker_directory(Arc::new(OneWorker));
         pool.refresh_roster();
         assert_eq!(shared.remote_fleet().expect("pool").endpoints.len(), 1);
-    }
-
-    #[test]
-    fn worker_pool_is_created_once_and_counts_nothing_before_use() {
-        let shared = SharedEvalResources::new();
-        assert_eq!(shared.worker_spawns(), 0);
-        assert_eq!(shared.live_workers(), 0);
-        let a = shared.worker_pool(2, None);
-        let b = shared.worker_pool(7, Some("/elsewhere".into()));
-        assert!(Arc::ptr_eq(&a, &b), "first caller's pool sticks");
-        assert_eq!(
-            shared.worker_spawns(),
-            0,
-            "no spawns until a lease needs one"
-        );
     }
 }

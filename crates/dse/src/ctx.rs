@@ -117,16 +117,24 @@ impl CancelToken {
 /// Resource bounds for an exploration run. An exhausted budget stops the
 /// search *gracefully*: the best architecture found so far is still
 /// returned (with the corresponding [`StopReason`]).
+///
+/// The two evaluation budgets are split into fixed per-design-point quotas
+/// before any point is dispatched (see [`share`](Self::share)), so which
+/// candidates a budgeted run scores never depends on how parallel workers
+/// are scheduled: a budgeted run is as reproducible as an unbudgeted one.
+/// Only the wall-clock deadline stays inherently timing-dependent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExploreBudget {
     /// Hard wall-clock deadline.
     pub deadline: Option<Instant>,
-    /// Maximum candidate-architecture evaluations across all design points.
+    /// Maximum candidate-architecture evaluations across all design points
+    /// (split evenly over the points).
     pub max_evaluations: Option<usize>,
     /// Maximum *unique* candidate evaluations (memo misses that actually run
     /// the compile → allocate → evaluate pipeline). With high cache-hit
     /// rates, scored-candidate and wall-clock budgets diverge from the work
-    /// actually done; this budget bounds the work itself.
+    /// actually done; this budget bounds the work itself (split evenly over
+    /// the points, like `max_evaluations`).
     pub max_unique_evaluations: Option<usize>,
 }
 
@@ -155,6 +163,20 @@ impl ExploreBudget {
     pub fn with_max_unique_evaluations(mut self, n: usize) -> Self {
         self.max_unique_evaluations = Some(n);
         self
+    }
+
+    /// The quota of part `index` when this budget is split over `parts`
+    /// design points: each evaluation budget divides as evenly as possible
+    /// (the first `total % parts` parts get one more), so the quotas sum to
+    /// the whole budget. The deadline is shared, not split.
+    #[must_use]
+    pub fn share(self, index: usize, parts: usize) -> Self {
+        let quota = |total: usize| total / parts + usize::from(index < total % parts);
+        Self {
+            deadline: self.deadline,
+            max_evaluations: self.max_evaluations.map(quota),
+            max_unique_evaluations: self.max_unique_evaluations.map(quota),
+        }
     }
 }
 
@@ -241,7 +263,9 @@ static NULL_OBSERVER: NullObserver = NullObserver;
 /// shared evaluation counter the budget is enforced against.
 ///
 /// One context spans one `run_dse_observed` call; worker threads share it
-/// by reference.
+/// by reference. Each design point runs under its own
+/// [`for_point`](Self::for_point) view, which enforces that point's share of
+/// the evaluation budgets and forwards everything else to the run.
 pub struct ExploreContext<'a> {
     sink: &'a dyn ExploreObserver,
     cancel: CancelToken,
@@ -260,6 +284,9 @@ pub struct ExploreContext<'a> {
     /// Serializes evaluator-stats snapshot + emission (see
     /// [`emit_evaluator_stats`](Self::emit_evaluator_stats)).
     stats_emit: Mutex<()>,
+    /// The run-wide context a per-point view charges through; `None` on the
+    /// run-wide context itself.
+    run: Option<&'a ExploreContext<'a>>,
 }
 
 impl fmt::Debug for ExploreContext<'_> {
@@ -285,6 +312,24 @@ impl<'a> ExploreContext<'a> {
             best: Mutex::new(0.0),
             observed: AtomicU8::new(0),
             stats_emit: Mutex::new(()),
+            run: None,
+        }
+    }
+
+    /// The view design point `index` of `points` explores under: it has its
+    /// own evaluation counters bounded by its [`ExploreBudget::share`] of
+    /// this context's budget, and forwards events, fitness, evaluator
+    /// stats, charges and run-wide stops (cancellation, deadline) to this
+    /// context. A point that spends its quota stops alone; the others keep
+    /// theirs, whatever order they run in.
+    pub fn for_point(&'a self, index: usize, points: usize) -> ExploreContext<'a> {
+        ExploreContext {
+            run: Some(self),
+            ..ExploreContext::new(
+                self.sink,
+                self.cancel.clone(),
+                self.budget.share(index, points),
+            )
         }
     }
 
@@ -315,6 +360,9 @@ impl<'a> ExploreContext<'a> {
     /// Adds `n` candidate evaluations to the shared counter.
     pub fn count_evaluations(&self, n: usize) {
         self.evaluations.fetch_add(n, Ordering::Relaxed);
+        if let Some(run) = self.run {
+            run.count_evaluations(n);
+        }
     }
 
     /// Total candidate evaluations recorded so far.
@@ -325,6 +373,9 @@ impl<'a> ExploreContext<'a> {
     /// Adds `n` *unique* evaluations (memo misses) to the shared counter.
     pub fn count_unique_evaluations(&self, n: usize) {
         self.unique_evaluations.fetch_add(n, Ordering::Relaxed);
+        if let Some(run) = self.run {
+            run.count_unique_evaluations(n);
+        }
     }
 
     /// Total unique candidate evaluations (memo misses) recorded so far.
@@ -339,6 +390,9 @@ impl<'a> ExploreContext<'a> {
     /// design points concurrently (the same discipline as
     /// [`record_fitness`](Self::record_fitness)).
     pub fn emit_evaluator_stats(&self, point_index: usize, snapshot: &dyn Fn() -> EvaluatorStats) {
+        if let Some(run) = self.run {
+            return run.emit_evaluator_stats(point_index, snapshot);
+        }
         let _serialized = self.stats_emit.lock().expect("stats-emit mutex");
         self.emit(ExploreEvent::EvaluatorStats {
             point_index,
@@ -351,6 +405,9 @@ impl<'a> ExploreContext<'a> {
     /// the best is held, so observers see strictly increasing bests even
     /// when parallel workers improve concurrently.
     pub fn record_fitness(&self, point_index: usize, fitness: f64) {
+        if let Some(run) = self.run {
+            return run.record_fitness(point_index, fitness);
+        }
         // NaN and infeasible (zero) fitness are both ignored.
         if fitness.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return;
@@ -392,25 +449,50 @@ impl<'a> ExploreContext<'a> {
     /// `true` answer is also recorded, so
     /// [`observed_stop`](Self::observed_stop) can later distinguish a
     /// curtailed search from one whose budget ran out exactly as it
-    /// finished naturally.
+    /// finished naturally. A per-point view also records run-wide stops
+    /// (cancellation, deadline) on the run; its spent quota stays its own.
     pub fn should_stop(&self) -> bool {
         match self.stop_reason() {
             Some(reason) => {
-                let code = match reason {
-                    StopReason::Completed => 0,
-                    StopReason::Cancelled => 1,
-                    StopReason::DeadlineReached => 2,
-                    StopReason::EvaluationBudgetReached => 3,
-                    StopReason::UniqueEvaluationBudgetReached => 4,
-                };
-                // First observation wins.
-                let _ =
-                    self.observed
-                        .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
+                self.observe(reason);
+                if let (Some(run), StopReason::Cancelled | StopReason::DeadlineReached) =
+                    (self.run, reason)
+                {
+                    run.observe(reason);
+                }
                 true
             }
             None => false,
         }
+    }
+
+    /// Whether a run-wide stop (cancellation or the deadline) was
+    /// requested, recorded like [`should_stop`](Self::should_stop). The
+    /// evaluation budgets never answer `true` here: they are enforced per
+    /// design point by [`for_point`](Self::for_point) views, so spending
+    /// them never decides which points are dispatched.
+    pub fn should_stop_dispatch(&self) -> bool {
+        match self.stop_reason() {
+            Some(reason @ (StopReason::Cancelled | StopReason::DeadlineReached)) => {
+                self.observe(reason);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn observe(&self, reason: StopReason) {
+        let code = match reason {
+            StopReason::Completed => 0,
+            StopReason::Cancelled => 1,
+            StopReason::DeadlineReached => 2,
+            StopReason::EvaluationBudgetReached => 3,
+            StopReason::UniqueEvaluationBudgetReached => 4,
+        };
+        // First observation wins.
+        let _ = self
+            .observed
+            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
     }
 
     /// The first stop reason a cooperative check observed, if the search
@@ -478,6 +560,50 @@ mod tests {
             ctx.stop_reason(),
             Some(StopReason::UniqueEvaluationBudgetReached)
         );
+    }
+
+    #[test]
+    fn budget_shares_sum_to_the_budget() {
+        let budget = ExploreBudget::unlimited()
+            .with_max_evaluations(30)
+            .with_max_unique_evaluations(3);
+        let shares: Vec<ExploreBudget> = (0..4).map(|i| budget.share(i, 4)).collect();
+        let evals: Vec<_> = shares.iter().map(|s| s.max_evaluations.unwrap()).collect();
+        let unique: Vec<_> = shares
+            .iter()
+            .map(|s| s.max_unique_evaluations.unwrap())
+            .collect();
+        assert_eq!(evals, [8, 8, 7, 7]);
+        assert_eq!(unique, [1, 1, 1, 0]);
+        assert_eq!(
+            ExploreBudget::unlimited().share(2, 4),
+            ExploreBudget::unlimited()
+        );
+    }
+
+    #[test]
+    fn point_views_spend_their_own_quota_and_charge_the_run() {
+        let run = ExploreContext::new(
+            &NullObserver,
+            CancelToken::new(),
+            ExploreBudget::unlimited().with_max_evaluations(4),
+        );
+        let first = run.for_point(0, 2);
+        let second = run.for_point(1, 2);
+        first.count_evaluations(2);
+        assert!(first.should_stop(), "the first point spent its quota");
+        assert!(!second.should_stop(), "the second point keeps its own");
+        assert!(!run.should_stop_dispatch(), "budgets never stop dispatch");
+        second.count_evaluations(1);
+        assert_eq!(run.evaluations(), 3);
+        assert_eq!(
+            first.observed_stop(),
+            Some(StopReason::EvaluationBudgetReached)
+        );
+        assert_eq!(run.observed_stop(), None, "quota stops stay per point");
+        run.cancel_token().cancel();
+        assert!(second.should_stop());
+        assert_eq!(run.observed_stop(), Some(StopReason::Cancelled));
     }
 
     #[test]

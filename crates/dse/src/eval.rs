@@ -12,9 +12,9 @@
 //!   hardware, macro mode and objective. It holds no policy: scoring a
 //!   candidate through it is a pure function.
 //! - An [`EvalBackend`](crate::backend::EvalBackend) decides *where* core
-//!   scoring runs: inline on the calling thread, across a scoped thread
-//!   pool, or on `pimsyn --worker` child processes. All backends are
-//!   bit-identical; only wall-clock differs.
+//!   scoring runs: inline on the calling thread, or on remote
+//!   `pimsyn worker-serve` daemons. Both are bit-identical; only
+//!   wall-clock differs.
 //! - The [`CandidateEvaluator`] composes a core and a backend with the
 //!   *caching and accounting* layers: a memo keyed by the canonicalized
 //!   candidate, an SA energy memo, budget charging, statistics, and an
@@ -213,8 +213,8 @@ impl CandidateScore {
 ///
 /// [`compute`](Self::compute) and [`score`](Self::score) are pure functions
 /// of the candidate (the layer memo is transparent), which is what makes
-/// memoization, thread pools, worker processes and persistent caches all
-/// bit-identical to plain inline evaluation.
+/// memoization, remote workers and persistent caches all bit-identical to
+/// plain inline evaluation.
 pub struct EvalCore<'a> {
     model: &'a Model,
     total_power: Watts,
@@ -682,14 +682,14 @@ impl<'a> CandidateEvaluator<'a> {
     /// exhausted budget) is observed the remaining candidates come back as
     /// [`CandidateScore::INFEASIBLE`] placeholders without being computed
     /// or charged. The memo misses that survive the pass are then scored by
-    /// the backend as one batch — inline, thread pool and subprocess
-    /// backends all return bit-identical scores, so completed runs are
+    /// the backend as one batch — inline and remote backends return
+    /// bit-identical scores, so completed runs are
     /// identical across backends; only wall-clock differs. Duplicates
     /// *within* a batch are computed once and counted as cache hits (the
     /// serial path would have found them in the memo).
     ///
     /// Cancellation additionally short-circuits *inside* the backend batch
-    /// (per job for inline/threads, per chunk for subprocess), so
+    /// (per job inline, per chunk remotely), so
     /// `CancelToken::cancel` stays prompt even mid-generation; the
     /// resulting placeholders are never stored in the memo (a cancelled
     /// run's results are discarded anyway). Budget and deadline stops are
@@ -905,7 +905,6 @@ impl<'a> CandidateEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendKind;
     use crate::sa::sa_energy;
     use pimsyn_arch::{DacConfig, HardwareParams};
     use pimsyn_model::zoo;
@@ -989,32 +988,6 @@ mod tests {
         }
         assert_eq!(plain.stats().cache_hits, 0);
         assert_eq!(plain.stats().unique_evaluations, 1);
-    }
-
-    #[test]
-    fn thread_pool_backend_matches_inline_in_order() {
-        let (model, df, point) = setup();
-        let l = model.weight_layer_count();
-        let genes: Vec<MacAllocGene> = (1..=4).map(|m| gene(l, m)).collect();
-        let ctx = ExploreContext::unobserved();
-        let hw = HardwareParams::date24();
-        let inline = evaluator(&model, &hw, EvalCacheConfig::default());
-        let threads = CandidateEvaluator::with_backend(
-            &model,
-            Watts(9.0),
-            &hw,
-            MacroMode::Specialized,
-            Objective::PowerEfficiency,
-            EvalCacheConfig::default(),
-            &EvalBackendConfig::new(BackendKind::ThreadPool { workers: 2 }),
-        );
-        let (a, a_charged) = inline.score_batch(&df, point, &genes, &ctx);
-        let (b, b_charged) = threads.score_batch(&df, point, &genes, &ctx);
-        assert_eq!(a, b);
-        assert_eq!(a_charged, genes.len());
-        assert_eq!(b_charged, genes.len());
-        assert_eq!(threads.backend_name(), "threads");
-        assert!(threads.backend_stats().jobs >= genes.len());
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub struct DseConfig {
     /// caches). Enabled by default; caching is transparent — cached and
     /// uncached runs produce bit-identical outcomes.
     pub eval_cache: EvalCacheConfig,
-    /// Where candidate scoring runs (inline, thread pool or subprocess
-    /// workers) and whether the evaluation memo persists across runs. Every
+    /// Where candidate scoring runs (inline or remote worker daemons) and
+    /// whether the evaluation memo persists across runs. Every
     /// backend is bit-identical; only wall-clock differs.
     pub backend: EvalBackendConfig,
     /// Base seed; every stochastic stage derives its own deterministic seed
@@ -311,6 +311,35 @@ fn explore_point(
     (result, best.map(|(_, b)| b))
 }
 
+/// One explored design point: its index, summary, winner, and the budget
+/// stop (if any) that curtailed it.
+struct ExploredPoint {
+    index: usize,
+    result: PointResult,
+    best: Option<PointBest>,
+    stop: Option<StopReason>,
+}
+
+/// Explores point `index` of `points` under its own share of the run's
+/// evaluation budgets (see [`ExploreContext::for_point`]).
+fn explore_budgeted(
+    model: &Model,
+    cfg: &DseConfig,
+    points: &[DesignPoint],
+    index: usize,
+    ctx: &ExploreContext<'_>,
+    evaluator: &CandidateEvaluator<'_>,
+) -> ExploredPoint {
+    let view = ctx.for_point(index, points.len());
+    let (result, best) = explore_point(model, cfg, points[index], index, &view, evaluator);
+    ExploredPoint {
+        index,
+        result,
+        best,
+        stop: view.observed_stop(),
+    }
+}
+
 /// Runs the complete Algorithm 1 flow for `model` under `cfg`, blocking
 /// until done, with no observation, cancellation or budget.
 ///
@@ -353,8 +382,7 @@ pub fn run_dse_observed(
         cfg.eval_cache,
         &cfg.backend,
     );
-    let results: Mutex<Vec<(usize, PointResult, Option<PointBest>)>> =
-        Mutex::new(Vec::with_capacity(points.len()));
+    let results: Mutex<Vec<ExploredPoint>> = Mutex::new(Vec::with_capacity(points.len()));
 
     if cfg.parallel && points.len() > 1 {
         let workers = std::thread::available_parallelism()
@@ -375,21 +403,21 @@ pub fn run_dse_observed(
                 let evaluator = &evaluator;
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= points.len() || ctx.should_stop() {
+                    if i >= points.len() || ctx.should_stop_dispatch() {
                         break;
                     }
-                    let (res, best) = explore_point(model, cfg, points[i], i, ctx, evaluator);
-                    results.lock().expect("result mutex").push((i, res, best));
+                    let explored = explore_budgeted(model, cfg, points, i, ctx, evaluator);
+                    results.lock().expect("result mutex").push(explored);
                 });
             }
         });
     } else {
-        for (i, &point) in points.iter().enumerate() {
-            if ctx.should_stop() {
+        for i in 0..points.len() {
+            if ctx.should_stop_dispatch() {
                 break;
             }
-            let (res, best) = explore_point(model, cfg, point, i, ctx, &evaluator);
-            results.lock().expect("result mutex").push((i, res, best));
+            let explored = explore_budgeted(model, cfg, &points, i, ctx, &evaluator);
+            results.lock().expect("result mutex").push(explored);
         }
     }
 
@@ -401,24 +429,33 @@ pub fn run_dse_observed(
 
     // Cancellation always wins, even when it raced the natural finish: the
     // caller asked for no result. Budget exhaustion only counts when a
-    // cooperative check actually curtailed the search — a budget that runs
-    // out exactly as the last point completes is still a completed run.
+    // cooperative check actually curtailed the search — a quota that runs
+    // out exactly as its point completes leaves that point completed. A
+    // run-wide stop (the deadline) outranks the per-point quotas; among
+    // those, the lowest-indexed curtailed point names the reason, so the
+    // report does not depend on which worker noticed first.
     if ctx.cancel_token().is_cancelled() {
         return Err(DseError::Cancelled);
     }
-    let stop_reason = match ctx.observed_stop() {
+    let mut results = results.into_inner().expect("result mutex");
+    results.sort_by_key(|explored| explored.index);
+    let point_stop = results.iter().find_map(|explored| explored.stop);
+    let stop_reason = match ctx.observed_stop().or(point_stop) {
         Some(StopReason::Cancelled) => return Err(DseError::Cancelled),
         Some(reason) => reason,
         None => StopReason::Completed,
     };
 
-    let mut results = results.into_inner().expect("result mutex");
-    results.sort_by_key(|(i, _, _)| *i);
-
     let mut history = Vec::with_capacity(results.len());
     let mut evaluations = 0usize;
     let mut winner: Option<(f64, usize, PointBest)> = None;
-    for (i, res, best) in results {
+    for ExploredPoint {
+        index: i,
+        result: res,
+        best,
+        ..
+    } in results
+    {
         evaluations += res.evaluations;
         if let Some(b) = best {
             let f = cfg.ea.objective.fitness(&b.report);
@@ -524,24 +561,6 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(a.history, b.history);
         assert_eq!(a.stop_reason, b.stop_reason);
-    }
-
-    #[test]
-    fn thread_pool_backend_matches_inline() {
-        use crate::backend::{BackendKind, EvalBackendConfig};
-        let model = zoo::alexnet_cifar(10);
-        let mut inline = tiny_cfg();
-        inline.space = DesignSpace::reduced();
-        inline.parallel = false;
-        let mut threads = inline.clone();
-        threads.backend = EvalBackendConfig::new(BackendKind::ThreadPool { workers: 2 });
-        let a = run_dse(&model, &inline).unwrap();
-        let b = run_dse(&model, &threads).unwrap();
-        assert_eq!(a.wt_dup, b.wt_dup);
-        assert_eq!(a.architecture, b.architecture);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.history, b.history);
     }
 
     #[test]
@@ -671,15 +690,19 @@ mod tests {
         let mut cfg = tiny_cfg();
         cfg.space = DesignSpace::reduced(); // 4 points
                                             // Enough budget for roughly one point's EA, not for all four.
-        let ctx = ExploreContext::new(
-            &crate::ctx::NullObserver,
-            CancelToken::new(),
-            ExploreBudget::unlimited().with_max_evaluations(30),
-        );
+        let budget = ExploreBudget::unlimited().with_max_evaluations(30);
+        let ctx = ExploreContext::new(&crate::ctx::NullObserver, CancelToken::new(), budget);
         match run_dse_observed(&model, &cfg, &ctx) {
             Ok(out) => {
                 assert_eq!(out.stop_reason, StopReason::EvaluationBudgetReached);
-                assert!(out.history.len() < cfg.space.outer_len());
+                // Every point explores within its own fixed quota (8, 8, 7,
+                // 7), so the budget is never overspent.
+                assert_eq!(out.history.len(), cfg.space.outer_len());
+                for (i, point) in out.history.iter().enumerate() {
+                    let quota = budget.share(i, out.history.len()).max_evaluations;
+                    assert!(Some(point.evaluations) <= quota, "point {i}");
+                }
+                assert!(out.evaluations <= 30);
                 assert!(out.report.efficiency_tops_per_watt() > 0.0);
             }
             // A budget this tight may also legitimately stop before the

@@ -55,8 +55,7 @@ pub use backend::{
     dial_bounded, parse_remote_roster, read_token_file, BackendKind, BackendStats, ChunkPlanner,
     ChunkPolicy, DirectoryEntry, EvalBackend, EvalBackendConfig, EvalJob, InlineBackend,
     PersistentEvalCache, RemoteBackend, RemoteEndpointStatus, RemoteFleetSnapshot, RemotePool,
-    SharedEvalResources, SubprocessBackend, ThreadPoolBackend, WorkerDirectory, WorkerPool,
-    MIN_JOBS_PER_CHUNK,
+    SharedEvalResources, WorkerDirectory, MIN_JOBS_PER_CHUNK,
 };
 pub use ctx::{
     CancelToken, ExploreBudget, ExploreContext, ExploreEvent, ExploreObserver, NullObserver,

@@ -12,9 +12,9 @@ use crate::explore::{run_dse, DseConfig};
 
 /// `base` with cross-level shared resources attached (the caller's handle
 /// when one is already set): every level of a sweep then leases the same
-/// subprocess worker pool (sessions re-opened per level) and warm-starts
+/// remote connection pool (sessions re-opened per level) and warm-starts
 /// from the same in-memory cache-snapshot store, instead of each level
-/// spawning and loading its own. Transparent — per-level results are
+/// dialing and loading its own. Transparent — per-level results are
 /// bit-identical either way.
 fn with_shared_resources(base: &DseConfig) -> DseConfig {
     let mut base = base.clone();
@@ -51,8 +51,8 @@ pub struct SweepPoint {
 /// `base.eval_cache`). Each level builds its own evaluator — candidate memo
 /// keys assume a fixed power constraint, so a memo must not span sweep
 /// levels — but all levels share one
-/// [`SharedEvalResources`](crate::SharedEvalResources) handle: a subprocess
-/// worker pool is spawned once and re-sessioned per level, and (with a
+/// [`SharedEvalResources`](crate::SharedEvalResources) handle: remote worker
+/// connections are dialed once and re-sessioned per level, and (with a
 /// cache file configured) each level's snapshot warm-starts later passes
 /// over the same level from memory.
 pub fn sweep_power(model: &Model, base: &DseConfig, powers: &[Watts]) -> Vec<SweepPoint> {

@@ -111,7 +111,7 @@ USAGE:
   pimsyn status|result|cancel --connect <host:port> --id <job-id>
   pimsyn shutdown|drain --connect <host:port>
   pimsyn worker-serve --listen <host:port> [--slots N]
-                      [--announce <host:port>] [--protocol-max <n>]
+                      [--announce <host:port>]
                       [--auth-token-file <path>] [--quiet]
   pimsyn worker-stop --connect <host:port> [--auth-token-file <path>]
 
@@ -137,7 +137,9 @@ OPTIONS:
   --cycle <images>      validate with the cycle-accurate engine
   --timeout <secs>      stop exploring after this long, keeping the best
                         implementation found so far
-  --max-evals <n>       bound candidate-architecture evaluations
+  --max-evals <n>       bound candidate-architecture evaluations (split
+                        evenly over the design points, so budgeted runs
+                        stay deterministic given the seed)
   --max-unique-evals <n>  bound unique evaluations (memo misses; with a warm
                         cache, far fewer than scored candidates)
   --eval-cache <on|off> memoize candidate evaluations (default: on; results
@@ -149,9 +151,7 @@ OPTIONS:
   --eval-cache-max-entries <n>  cap candidate-score entries written per run
                         section of the cache file (oldest trimmed first), so
                         long sweeps stop growing the file without bound
-  --backend <spec>      where candidate scoring runs: inline (default),
-                        threads[:N] (scoped thread pool), subprocess[:N]
-                        (pimsyn --worker child processes), or
+  --backend <spec>      where candidate scoring runs: inline (default) or
                         remote:host:port[,host:port...] (pimsyn worker-serve
                         daemons over TCP); results are bit-identical across
                         backends
@@ -162,8 +162,8 @@ OPTIONS:
   --help                print this message
 
 `pimsyn serve` runs a long-lived synthesis daemon: submitted jobs queue
-behind a bounded FIFO, share one subprocess worker pool and one warm
-evaluation cache, and are addressed by id through the submit/status/
+behind a bounded FIFO, share one remote worker connection pool and one
+warm evaluation cache, and are addressed by id through the submit/status/
 result/cancel/shutdown subcommands (a versioned JSON-lines TCP protocol).
 The daemon's --backend / --eval-cache-file flags decide where every
 submitted job's scoring runs; submit-side flags describe the job itself.
@@ -199,9 +199,9 @@ registers itself with a `pimsyn serve`/`pimsyn gateway` started with
 --worker-registry, heartbeats to stay listed, and deregisters on exit —
 the serving daemon then discovers workers dynamically instead of needing a
 static remote:host:port roster (with --worker-registry and no explicit
---backend, the daemon's backend is the announced fleet). --protocol-max
-caps the negotiated worker-protocol version (for mixed-version fleets and
-downgrade testing); results are bit-identical across protocol versions.
+--backend, the daemon's backend is the announced fleet). A peer speaking
+another worker-protocol version is rejected at the handshake and its
+chunks are scored inline; results are unaffected.
 
 `pimsyn zoo` inspects the bundled model zoo: with no flags it lists every
 model with a one-line description; --describe prints one model's layer
@@ -215,11 +215,7 @@ bit-identical results) and then emits a PIMSIM-NN configuration document
 on stdout (or --out <path>) instead of a report: the workload, the
 synthesized per-layer mapping and PIMSYN's expected metrics, ready for
 cross-simulator validation. --pretty indents the JSON for humans; the
-field-by-field schema is documented in docs/ARCHITECTURE.md.
-
-`pimsyn --worker` (no other flags) runs the evaluation-worker protocol on
-stdin/stdout; it is spawned by `--backend subprocess` and not meant for
-interactive use.";
+field-by-field schema is documented in docs/ARCHITECTURE.md.";
 
 fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
     let mut args = Args {
@@ -1268,13 +1264,12 @@ fn run_gateway(argv: &[String]) -> ExitCode {
 
 /// Flags of the `worker-serve` subcommand: where to listen, how many
 /// concurrent worker sessions to serve, the optional shared auth token,
-/// the registry to announce to, and the protocol-version cap.
+/// and the registry to announce to.
 #[derive(Debug, Clone)]
 struct WorkerServeArgs {
     listen: String,
     slots: usize,
     announce: Option<String>,
-    protocol_max: Option<u32>,
     auth_token_file: Option<String>,
     quiet: bool,
 }
@@ -1286,7 +1281,6 @@ fn parse_worker_serve_args<I: IntoIterator<Item = String>>(
         listen: String::new(),
         slots: 0,
         announce: None,
-        protocol_max: None,
         auth_token_file: None,
         quiet: false,
     };
@@ -1302,12 +1296,6 @@ fn parse_worker_serve_args<I: IntoIterator<Item = String>>(
                 }
             }
             "--announce" => args.announce = Some(value("--announce")?),
-            "--protocol-max" => {
-                args.protocol_max = match value("--protocol-max")?.parse::<u32>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return Err("--protocol-max must be a positive integer".to_string()),
-                }
-            }
             "--auth-token-file" => args.auth_token_file = Some(value("--auth-token-file")?),
             "--quiet" | "-q" => args.quiet = true,
             other => return Err(format!("unknown worker-serve flag `{other}`")),
@@ -1359,7 +1347,6 @@ fn run_worker_serve(argv: &[String]) -> ExitCode {
         slots: args.slots,
         token,
         quiet: args.quiet,
-        protocol_max: args.protocol_max,
         announce: args.announce.clone(),
         // Test-harness hook: chaos suites and CI smokes misconfigure a
         // stock binary through PIMSYN_FAULT_* without extra flags. All
@@ -1880,11 +1867,6 @@ fn run_export(argv: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Worker mode short-circuits everything else: the process is a child of
-    // `--backend subprocess` speaking the JSON-lines protocol on stdio.
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
-        return pimsyn::run_worker_stdio();
-    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("serve") => return run_serve(&argv[1..]),
@@ -2095,18 +2077,21 @@ mod tests {
             "--power",
             "9",
             "--backend",
-            "subprocess:2",
+            "remote:127.0.0.1:7801",
             "--eval-cache-file",
             "/tmp/c.json",
             "--max-unique-evals",
             "40",
         ])
         .unwrap();
-        assert_eq!(args.backend, BackendKind::Subprocess { workers: 2 });
+        let remote = BackendKind::Remote {
+            endpoints: vec!["127.0.0.1:7801".to_string()],
+        };
+        assert_eq!(args.backend, remote);
         assert_eq!(args.eval_cache_file.as_deref(), Some("/tmp/c.json"));
         assert_eq!(args.max_unique_evals, Some(40));
         let options = options_from_args(&args, args.power).unwrap();
-        assert_eq!(options.backend.kind, BackendKind::Subprocess { workers: 2 });
+        assert_eq!(options.backend.kind, remote);
         assert_eq!(
             options.backend.cache_file.as_deref(),
             Some(std::path::Path::new("/tmp/c.json"))
@@ -2252,14 +2237,19 @@ mod tests {
             "--queue-depth",
             "8",
             "--backend",
-            "subprocess:2",
+            "remote:127.0.0.1:7801",
             "--quiet",
         ])
         .unwrap();
         assert_eq!(args.listen, "127.0.0.1:7741");
         assert_eq!(args.job_slots, Some(2));
         assert_eq!(args.queue_depth, Some(8));
-        assert_eq!(args.backend, BackendKind::Subprocess { workers: 2 });
+        assert_eq!(
+            args.backend,
+            BackendKind::Remote {
+                endpoints: vec!["127.0.0.1:7801".to_string()]
+            }
+        );
         assert!(args.quiet);
 
         let err = parse_serve(&[]).unwrap_err();
@@ -2313,17 +2303,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(args.remote_token_file.as_deref(), Some("/tmp/tok"));
-        // An explicitly non-remote backend contradicts the registry.
-        let err = parse_serve(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--backend",
-            "subprocess:2",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--worker-registry"), "{err}");
         // The registry address must look dialable.
         let err = parse_serve(&["--listen", "x", "--worker-registry", "noport"]).unwrap_err();
         assert!(err.contains("HOST:PORT"), "{err}");
@@ -2398,23 +2377,14 @@ mod tests {
         assert_eq!(args.listen, "127.0.0.1:0");
         assert_eq!(args.slots, 2);
         assert_eq!(args.announce, None);
-        assert_eq!(args.protocol_max, None);
 
-        let args = parse_worker_serve(&[
-            "--listen",
-            "127.0.0.1:0",
-            "--announce",
-            "127.0.0.1:7742",
-            "--protocol-max",
-            "1",
-        ])
-        .unwrap();
+        let args = parse_worker_serve(&["--listen", "127.0.0.1:0", "--announce", "127.0.0.1:7742"])
+            .unwrap();
         assert_eq!(args.announce.as_deref(), Some("127.0.0.1:7742"));
-        assert_eq!(args.protocol_max, Some(1));
 
         let err = parse_worker_serve(&[]).unwrap_err();
         assert!(err.contains("--listen"), "{err}");
-        let err = parse_worker_serve(&["--listen", "x", "--protocol-max", "0"]).unwrap_err();
+        let err = parse_worker_serve(&["--listen", "x", "--slots", "0"]).unwrap_err();
         assert!(err.contains("positive"), "{err}");
         let err = parse_worker_serve(&["--listen", "x", "--announce", "noport"]).unwrap_err();
         assert!(err.contains("HOST:PORT"), "{err}");

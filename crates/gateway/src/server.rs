@@ -719,14 +719,6 @@ fn handle_metrics(shared: &GatewayShared) -> Outcome {
             counts.running
         );
     }
-    let _ = writeln!(
-        body,
-        "# HELP pimsyn_gateway_worker_spawns_total Subprocess evaluation workers \
-         spawned by the shared pool.\n\
-         # TYPE pimsyn_gateway_worker_spawns_total counter\n\
-         pimsyn_gateway_worker_spawns_total {}",
-        shared.service.worker_spawns()
-    );
     if let Some(registry) = &shared.registry {
         let reg = registry.snapshot();
         let _ = writeln!(
@@ -766,15 +758,14 @@ fn handle_metrics(shared: &GatewayShared) -> Outcome {
         }
         body.push_str(
             "# HELP pimsyn_gateway_registry_worker_slots Advertised session slots \
-             per registered worker, labeled with its protocol ceiling.\n\
+             per registered worker.\n\
              # TYPE pimsyn_gateway_registry_worker_slots gauge\n",
         );
         for worker in &reg.workers {
             let _ = writeln!(
                 body,
-                "pimsyn_gateway_registry_worker_slots{{addr=\"{}\",proto_max=\"{}\"}} {}",
+                "pimsyn_gateway_registry_worker_slots{{addr=\"{}\"}} {}",
                 http::escape_label(&worker.addr),
-                worker.proto_max,
                 worker.slots
             );
         }
@@ -813,20 +804,6 @@ fn handle_metrics(shared: &GatewayShared) -> Outcome {
              pimsyn_gateway_fleet_requeued_pieces_total {}",
             fleet.requeued_pieces
         );
-        body.push_str(
-            "# HELP pimsyn_gateway_fleet_endpoint_protocol Last negotiated worker-\
-             protocol version per endpoint (0 = never connected).\n\
-             # TYPE pimsyn_gateway_fleet_endpoint_protocol gauge\n",
-        );
-        for endpoint in &fleet.endpoints {
-            let _ = writeln!(
-                body,
-                "pimsyn_gateway_fleet_endpoint_protocol{{addr=\"{}\",discovered=\"{}\"}} {}",
-                http::escape_label(&endpoint.addr),
-                endpoint.discovered,
-                endpoint.protocol
-            );
-        }
         body.push_str(
             "# HELP pimsyn_gateway_fleet_endpoint_batch_seconds Wall-clock time \
              spent in successful scoring round trips per endpoint (summary: \

@@ -1,16 +1,14 @@
-//! The service's shared subprocess worker pool, exercised end to end.
-//!
-//! This test lives in the `pimsyn-gateway` crate — the workspace's binary
-//! crate — so `CARGO_BIN_EXE_pimsyn` points at the real CLI binary (which
-//! doubles as the `--worker` executable).
+//! The service's shared remote connection pool, exercised end to end
+//! against a loopback `worker-serve` daemon.
+
+use std::net::TcpListener;
 
 use pimsyn::{
-    BackendKind, ServiceConfig, SynthesisOptions, SynthesisRequest, SynthesisService, Synthesizer,
+    serve_workers_in_background, stop_worker_server, BackendKind, ServiceConfig, SynthesisOptions,
+    SynthesisRequest, SynthesisService, Synthesizer, WorkerServeConfig,
 };
 use pimsyn_arch::Watts;
 use pimsyn_model::zoo;
-
-const WORKER_BIN: &str = env!("CARGO_BIN_EXE_pimsyn");
 
 fn fast_request(seed: u64) -> SynthesisRequest {
     SynthesisRequest::new(
@@ -19,37 +17,46 @@ fn fast_request(seed: u64) -> SynthesisRequest {
     )
 }
 
-/// N sequential jobs through one service spawn at most the configured pool
-/// width of worker processes — the pool is leased and re-sessioned per job,
-/// not re-spawned — and every job stays bit-identical to an inline run.
+/// N sequential jobs through one service dial the worker at most once per
+/// session slot — connections are leased and re-sessioned per job, not
+/// re-dialed — and every job stays bit-identical to an inline run.
 #[test]
 fn service_jobs_reuse_the_shared_worker_pool() {
-    const POOL_WIDTH: usize = 2;
+    const SLOTS: usize = 2;
     const JOBS: usize = 3;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+    let daemon = serve_workers_in_background(
+        listener,
+        WorkerServeConfig {
+            slots: SLOTS,
+            quiet: true,
+            ..Default::default()
+        },
+    )
+    .expect("start worker daemon");
+    let addr = daemon.addr().to_string();
+
     let service = SynthesisService::new(ServiceConfig::default().with_job_slots(1));
-    assert_eq!(service.worker_spawns(), 0);
-    let subprocess_request = |seed: u64| {
+    assert!(service.shared_resources().remote_fleet().is_none());
+    let remote_request = |seed: u64| {
         let mut request = fast_request(seed);
-        request.options = request
-            .options
-            .with_backend(BackendKind::Subprocess {
-                workers: POOL_WIDTH,
-            })
-            .with_worker_command(WORKER_BIN);
+        request.options = request.options.with_backend(BackendKind::Remote {
+            endpoints: vec![addr.clone()],
+        });
         request
     };
     let handles: Vec<_> = (0..JOBS)
         .map(|i| {
             service
-                .submit(subprocess_request(7 + i as u64))
+                .submit(remote_request(7 + i as u64))
                 .expect("queue has room")
         })
         .collect();
     for (i, handle) in handles.iter().enumerate() {
         let via_service = handle.await_result().expect("feasible");
         // Each job's result is bit-identical to a standalone inline run:
-        // the leased workers re-opened a session with this job's model and
-        // power, so recycling processes never leaks stale run state.
+        // the leased connections re-opened a session with this job's model
+        // and power, so recycling them never leaks stale run state.
         let inline = Synthesizer::new(fast_request(7 + i as u64).options)
             .synthesize(&zoo::alexnet_cifar(10))
             .expect("inline synthesis");
@@ -59,12 +66,25 @@ fn service_jobs_reuse_the_shared_worker_pool() {
         assert_eq!(via_service.evaluations, inline.evaluations, "job {i}");
         assert_eq!(via_service.history, inline.history, "job {i}");
     }
-    let spawns = service.worker_spawns();
-    assert!(spawns >= 1, "subprocess jobs must actually use the pool");
+    let fleet = service
+        .shared_resources()
+        .remote_fleet()
+        .expect("remote jobs create the shared pool");
     assert!(
-        spawns <= POOL_WIDTH,
-        "{JOBS} jobs spawned {spawns} workers; the shared pool must cap at \
-         the pool width ({POOL_WIDTH}), not jobs x width"
+        fleet.connects >= 1,
+        "remote jobs must actually dial the worker"
+    );
+    assert!(
+        fleet.endpoints.iter().any(|e| e.jobs > 0),
+        "remote jobs must score on the worker: {fleet:?}"
+    );
+    assert!(
+        fleet.connects <= SLOTS,
+        "{JOBS} jobs dialed {} connections; the shared pool must cap at the \
+         worker's slots ({SLOTS}), not jobs x slots",
+        fleet.connects
     );
     service.shutdown();
+    stop_worker_server(&addr, None).expect("daemon stops cleanly");
+    daemon.join().expect("daemon exits cleanly");
 }

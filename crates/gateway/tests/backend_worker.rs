@@ -1,62 +1,23 @@
-//! End-to-end exercise of the subprocess evaluation backend and the CLI
-//! surface around it: `--backend subprocess:N` must be bit-identical to
-//! inline scoring, worker failures must degrade gracefully, the persistent
-//! cache must warm-start a second CLI invocation with an identical summary,
-//! and `--quiet` must silence every progress line on stderr.
+//! End-to-end exercise of the CLI surface around the evaluation backend:
+//! the persistent cache must warm-start a second CLI invocation with an
+//! identical summary, cache options must be validated, and `--quiet` must
+//! silence every progress line on stderr. (Remote-backend bit-identity
+//! lives in `remote_backend.rs`.)
 //!
 //! These tests live in the `pimsyn-gateway` crate — the workspace's binary
-//! crate — so `CARGO_BIN_EXE_pimsyn` points at the real CLI binary (which
-//! doubles as the `--worker` executable).
+//! crate — so `CARGO_BIN_EXE_pimsyn` points at the real CLI binary.
 
 use std::path::Path;
 use std::process::Command;
 
-use pimsyn::{BackendKind, SynthesisOptions, Synthesizer, Watts};
+use pimsyn::{SynthesisOptions, Synthesizer, Watts};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::zoo;
 
-const WORKER_BIN: &str = env!("CARGO_BIN_EXE_pimsyn");
+const PIMSYN_BIN: &str = env!("CARGO_BIN_EXE_pimsyn");
 
 fn base_options() -> SynthesisOptions {
     SynthesisOptions::fast(Watts(9.0)).with_seed(7)
-}
-
-#[test]
-fn subprocess_backend_is_bit_identical_to_inline() {
-    let model = zoo::alexnet_cifar(10);
-    let inline = Synthesizer::new(base_options()).synthesize(&model).unwrap();
-    let subprocess = Synthesizer::new(
-        base_options()
-            .with_backend(BackendKind::Subprocess { workers: 2 })
-            .with_worker_command(WORKER_BIN),
-    )
-    .synthesize(&model)
-    .unwrap();
-    assert_eq!(inline.wt_dup, subprocess.wt_dup);
-    assert_eq!(inline.architecture, subprocess.architecture);
-    assert_eq!(inline.analytic, subprocess.analytic);
-    assert_eq!(inline.evaluations, subprocess.evaluations);
-    assert_eq!(inline.history, subprocess.history);
-    assert_eq!(inline.stop_reason, subprocess.stop_reason);
-}
-
-#[test]
-fn missing_worker_executable_degrades_to_inline_scoring() {
-    let model = zoo::alexnet_cifar(10);
-    let inline = Synthesizer::new(base_options()).synthesize(&model).unwrap();
-    // The worker command does not exist: every spawn fails, every batch
-    // falls back inline, and the outcome is still bit-identical.
-    let broken = Synthesizer::new(
-        base_options()
-            .with_backend(BackendKind::Subprocess { workers: 2 })
-            .with_worker_command("/nonexistent/pimsyn-worker-binary"),
-    )
-    .synthesize(&model)
-    .unwrap();
-    assert_eq!(inline.wt_dup, broken.wt_dup);
-    assert_eq!(inline.architecture, broken.architecture);
-    assert_eq!(inline.analytic, broken.analytic);
-    assert_eq!(inline.evaluations, broken.evaluations);
 }
 
 #[test]
@@ -75,7 +36,7 @@ fn cache_file_without_cache_is_rejected_as_invalid_options() {
 }
 
 fn run_cli(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(WORKER_BIN)
+    let out = Command::new(PIMSYN_BIN)
         .args(args)
         .output()
         .expect("CLI run");
@@ -96,32 +57,6 @@ fn summary_without_elapsed(stdout: &str) -> Vec<(String, String)> {
         .filter(|(k, _)| k != "elapsed_s")
         .map(|(k, v)| (k.clone(), v.to_string()))
         .collect()
-}
-
-#[test]
-fn cli_subprocess_backend_matches_inline_summary() {
-    let common = [
-        "--model",
-        "alexnet-cifar",
-        "--power",
-        "9",
-        "--seed",
-        "7",
-        "--output",
-        "json",
-        "--quiet",
-    ];
-    let (inline_out, _, ok) = run_cli(&common);
-    assert!(ok, "inline run failed");
-    let mut with_backend: Vec<&str> = common.to_vec();
-    with_backend.extend(["--backend", "subprocess:2"]);
-    let (sub_out, _, ok) = run_cli(&with_backend);
-    assert!(ok, "subprocess run failed");
-    assert_eq!(
-        summary_without_elapsed(&inline_out),
-        summary_without_elapsed(&sub_out),
-        "subprocess summary must equal the inline one"
-    );
 }
 
 #[test]

@@ -383,8 +383,8 @@ fn keys_file_rotation_applies_without_restart() {
 #[test]
 fn metrics_expose_worker_registry_state() {
     let registry = pimsyn::WorkerRegistry::new(pimsyn::DEFAULT_HEARTBEAT_INTERVAL, None, true);
-    registry.announce("10.0.0.7:9900", 4, 2);
-    registry.announce("10.0.0.8:9900", 2, 1);
+    registry.announce("10.0.0.7:9900", 4);
+    registry.announce("10.0.0.8:9900", 2);
     registry.drain("10.0.0.8:9900");
     let (handle, addr) = start_gateway(
         GatewayConfig::new()
@@ -417,9 +417,7 @@ fn metrics_expose_worker_registry_state() {
         "{text}"
     );
     assert!(
-        text.contains(
-            "pimsyn_gateway_registry_worker_slots{addr=\"10.0.0.7:9900\",proto_max=\"2\"} 4"
-        ),
+        text.contains("pimsyn_gateway_registry_worker_slots{addr=\"10.0.0.7:9900\"} 4"),
         "{text}"
     );
 
@@ -457,7 +455,6 @@ fn metrics_expose_counters_gauges_and_histograms() {
         "pimsyn_gateway_queue_depth",
         "pimsyn_gateway_running_jobs",
         "pimsyn_gateway_draining",
-        "pimsyn_gateway_worker_spawns_total",
     ] {
         assert!(text.contains(&format!("# HELP {family} ")), "{family}");
         assert!(text.contains(&format!("# TYPE {family} ")), "{family}");

@@ -105,6 +105,47 @@ fn unreachable_roster_degrades_to_identical_results() {
 }
 
 #[test]
+fn stale_protocol_peer_is_rejected_and_matches_inline() {
+    use std::io::Write;
+    let model = zoo::alexnet_cifar(10);
+    let inline = Synthesizer::new(base_options()).synthesize(&model).unwrap();
+    // A peer that welcomes every hello as protocol version 1: the dialer
+    // must refuse it at the handshake — never send it a session — and
+    // score the whole run inline.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let sessions_offered = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let seen = Arc::clone(&sessions_offered);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut hello = String::new();
+            let _ = reader.read_line(&mut hello);
+            let _ = writeln!(
+                stream,
+                r#"{{"type":"welcome","pimsyn_worker":1,"slots":1}}"#
+            );
+            // Anything after the welcome would be a session opened on a
+            // peer that failed the version check.
+            let mut next = String::new();
+            if reader.read_line(&mut next).is_ok_and(|n| n > 0) {
+                seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+    });
+    let remote = Synthesizer::new(remote_options(&addr))
+        .synthesize(&model)
+        .unwrap();
+    assert_identical(&inline, &remote);
+    assert_eq!(
+        sessions_offered.load(std::sync::atomic::Ordering::SeqCst),
+        0,
+        "no session may open on a version-mismatched peer"
+    );
+}
+
+#[test]
 fn wrong_token_is_rejected_and_daemon_survives() {
     let daemon = loopback_daemon(WorkerServeConfig {
         slots: 1,
@@ -252,7 +293,7 @@ fn cli_auth_failure_warns_once_and_matches_inline_summary() {
     let _ = std::fs::remove_file(&token_path);
 }
 
-// --- worker fleet: protocol downgrade and registry churn ---
+// --- worker fleet: registry churn ---
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -299,28 +340,6 @@ fn wait_for(what: &str, mut pred: impl FnMut() -> bool) {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-#[test]
-fn v1_only_daemon_downgrades_and_matches_inline() {
-    let model = zoo::alexnet_cifar(10);
-    let inline = Synthesizer::new(base_options()).synthesize(&model).unwrap();
-    // A peer capped at protocol 1 forces the handshake to negotiate the
-    // JSON-lines wire even though the dialer prefers the v2 binary frames;
-    // the scores crossing that wire must still be bit-identical.
-    let daemon = loopback_daemon(WorkerServeConfig {
-        slots: 2,
-        quiet: true,
-        protocol_max: Some(1),
-        ..Default::default()
-    });
-    let addr = daemon.addr().to_string();
-    let remote = Synthesizer::new(remote_options(&addr))
-        .synthesize(&model)
-        .unwrap();
-    assert_identical(&inline, &remote);
-    stop_worker_server(&addr, None).expect("daemon stops cleanly");
-    daemon.join().expect("daemon exits cleanly");
 }
 
 #[test]
@@ -425,8 +444,8 @@ use pimsyn::FaultInjection;
 
 /// The heterogeneous-fleet chaos test: one fast healthy worker, one
 /// heavily slowed worker (fault-injected per-candidate delay), one worker
-/// stuck on protocol v1, one worker that drops its connection every third
-/// score exchange, and one worker killed mid-run. The run must stay
+/// that drops its connection every third score exchange, and one worker
+/// killed mid-run. The run must stay
 /// bit-identical to inline, and the fleet snapshot must show the adaptive
 /// chunker routing less work to the slow endpoint than the fast one.
 #[test]
@@ -447,12 +466,6 @@ fn chaos_fleet_is_bit_identical_and_starves_the_slow_worker() {
             job_delay: Some(Duration::from_millis(2)),
             ..Default::default()
         },
-        ..Default::default()
-    });
-    let v1 = loopback_daemon(WorkerServeConfig {
-        slots: 1,
-        quiet: true,
-        protocol_max: Some(1),
         ..Default::default()
     });
     let flaky = loopback_daemon(WorkerServeConfig {
@@ -477,7 +490,6 @@ fn chaos_fleet_is_bit_identical_and_starves_the_slow_worker() {
     let endpoints = vec![
         fast_addr.clone(),
         slow_addr.clone(),
-        v1.addr().to_string(),
         flaky.addr().to_string(),
         killed_addr,
     ];
@@ -513,7 +525,7 @@ fn chaos_fleet_is_bit_identical_and_starves_the_slow_worker() {
     );
     service.shutdown();
 
-    for daemon in [fast, slow, v1, flaky] {
+    for daemon in [fast, slow, flaky] {
         let addr = daemon.addr().to_string();
         stop_worker_server(&addr, None).expect("daemon stops cleanly");
         daemon.join().expect("daemon exits cleanly");

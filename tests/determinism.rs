@@ -1,8 +1,9 @@
 //! Reproducibility: the whole flow is deterministic given a seed, including
 //! under parallel exploration, with candidate-evaluation memoization, and
-//! across evaluation backends (inline, thread pool; the subprocess backend
-//! is covered end-to-end in the `pimsyn` crate's `backend_worker` tests,
-//! which have access to the built CLI binary).
+//! across evaluation backends (inline and a loopback `worker-serve` daemon;
+//! the CLI surface of the remote backend is covered end-to-end in the
+//! gateway crate's `remote_backend` tests, which have access to the built
+//! CLI binary).
 
 use pimsyn::{BackendKind, EvalCacheConfig, SynthesisOptions, Synthesizer};
 use pimsyn_arch::Watts;
@@ -76,52 +77,66 @@ fn eval_cache_runs_are_bit_identical_to_uncached() {
     }
 }
 
-/// The evaluation backend decides only *where* scoring runs: inline and
-/// thread-pool backends must produce bit-identical outcomes — best design,
-/// evaluation counts and per-point history — for several models and seeds.
+/// The evaluation backend decides only *where* scoring runs: runs scored
+/// against a live in-process `worker-serve` daemon must produce outcomes
+/// bit-identical to inline runs — best design, evaluation counts and
+/// per-point history — for several models (a CNN, a deeper CNN and a
+/// transformer) and seeds, all over one daemon.
 #[test]
-fn thread_pool_backend_equals_inline_bit_identically() {
+fn remote_backend_equals_inline_across_models() {
     let cases = [
         (zoo::alexnet_cifar(10), Watts(9.0)),
         (zoo::vgg16_cifar(10), Watts(15.0)),
         (zoo::transformer_tiny(), Watts(6.0)),
     ];
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+    let daemon = pimsyn::serve_workers_in_background(
+        listener,
+        pimsyn::WorkerServeConfig {
+            slots: 2,
+            quiet: true,
+            ..Default::default()
+        },
+    )
+    .expect("start worker daemon");
+    let addr = daemon.addr().to_string();
     for (model, power) in &cases {
         for seed in [7u64, 23] {
             let base = SynthesisOptions::fast(*power).with_seed(seed);
             let inline = Synthesizer::new(base.clone())
                 .synthesize(model)
                 .expect("inline synthesis");
-            let threads = Synthesizer::new(
-                base.clone()
-                    .with_backend(BackendKind::ThreadPool { workers: 2 }),
-            )
+            let remote = Synthesizer::new(base.with_backend(BackendKind::Remote {
+                endpoints: vec![addr.clone()],
+            }))
             .synthesize(model)
-            .expect("thread-pool synthesis");
-            assert_eq!(inline.wt_dup, threads.wt_dup, "{model} seed {seed}");
+            .expect("remote synthesis");
+            assert_eq!(inline.wt_dup, remote.wt_dup, "{model} seed {seed}");
             assert_eq!(
-                inline.architecture, threads.architecture,
+                inline.architecture, remote.architecture,
                 "{model} seed {seed}"
             );
-            assert_eq!(inline.analytic, threads.analytic, "{model} seed {seed}");
+            assert_eq!(inline.analytic, remote.analytic, "{model} seed {seed}");
             assert_eq!(
-                inline.evaluations, threads.evaluations,
+                inline.evaluations, remote.evaluations,
                 "{model} seed {seed}"
             );
-            assert_eq!(inline.history, threads.history, "{model} seed {seed}");
+            assert_eq!(inline.history, remote.history, "{model} seed {seed}");
             assert_eq!(
-                inline.stop_reason, threads.stop_reason,
+                inline.stop_reason, remote.stop_reason,
                 "{model} seed {seed}"
             );
         }
     }
+    pimsyn::stop_worker_server(&addr, None).expect("daemon stops cleanly");
+    daemon.join().expect("daemon exits cleanly");
 }
 
-/// The remote backend decides only *where* scoring runs, like every other
-/// backend: a run scored against a live in-process `worker-serve` daemon
-/// must produce a bit-identical outcome — best design, evaluation counts
-/// and per-point history — to an inline run, for several seeds over one
-/// daemon (sessions are re-opened per run on recycled connections).
+/// The remote backend decides only *where* scoring runs: a run scored
+/// against a live in-process `worker-serve` daemon must produce a
+/// bit-identical outcome — best design, evaluation counts and per-point
+/// history — to an inline run, for several seeds over one daemon (sessions
+/// are re-opened per run on recycled connections).
 #[test]
 fn remote_backend_equals_inline_bit_identically() {
     let model = zoo::alexnet_cifar(10);
@@ -382,4 +397,72 @@ fn parallel_equals_serial() {
     let b = Synthesizer::new(parallel).synthesize(&model).unwrap();
     assert_eq!(a.wt_dup, b.wt_dup);
     assert_eq!(a.architecture, b.architecture);
+}
+
+/// Evaluation budgets are split into per-design-point quotas before any
+/// point is dispatched, so a budgeted run is reproducible: serial and
+/// parallel exploration agree on everything, including the evaluation
+/// count, the per-point history and the stop reason.
+#[test]
+fn budgeted_parallel_equals_serial() {
+    let model = zoo::alexnet_cifar(10);
+    for budgeted in [
+        SynthesisOptions::fast(Watts(9.0))
+            .with_seed(7)
+            .with_max_evaluations(200),
+        SynthesisOptions::fast(Watts(9.0))
+            .with_seed(7)
+            .with_max_unique_evaluations(150),
+        SynthesisOptions::fast(Watts(9.0))
+            .with_seed(23)
+            .with_max_evaluations(3),
+    ] {
+        let mut serial = budgeted.clone();
+        serial.parallel = false;
+        let mut parallel = budgeted;
+        parallel.parallel = true;
+        let a = Synthesizer::new(serial).synthesize(&model).unwrap();
+        let b = Synthesizer::new(parallel).synthesize(&model).unwrap();
+        assert_ne!(a.stop_reason, pimsyn::StopReason::Completed);
+        assert_eq!(a.wt_dup, b.wt_dup);
+        assert_eq!(a.architecture, b.architecture);
+        assert_eq!(a.analytic, b.analytic);
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.history, b.history);
+        assert_eq!(a.stop_reason, b.stop_reason);
+    }
+}
+
+/// Repeated budgeted runs under contention (several at once, each
+/// exploring its design points on parallel workers) all return the same
+/// outcome, and never charge more than the budget.
+#[test]
+fn budgeted_runs_repeat_identically_under_contention() {
+    let model = zoo::alexnet_cifar(10);
+    let options = SynthesisOptions::fast(Watts(9.0))
+        .with_seed(7)
+        .with_max_evaluations(200);
+    let reference = Synthesizer::new(options.clone())
+        .synthesize(&model)
+        .unwrap();
+    assert!(reference.evaluations <= 200);
+    std::thread::scope(|s| {
+        let runs: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    Synthesizer::new(options.clone())
+                        .synthesize(&model)
+                        .unwrap()
+                })
+            })
+            .collect();
+        for run in runs {
+            let r = run.join().expect("run thread");
+            assert_eq!(r.wt_dup, reference.wt_dup);
+            assert_eq!(r.architecture, reference.architecture);
+            assert_eq!(r.evaluations, reference.evaluations);
+            assert_eq!(r.history, reference.history);
+            assert_eq!(r.stop_reason, reference.stop_reason);
+        }
+    });
 }
