@@ -171,13 +171,19 @@ impl ExploreBudget {
     /// the whole budget. The deadline is shared, not split.
     #[must_use]
     pub fn share(self, index: usize, parts: usize) -> Self {
-        let quota = |total: usize| total / parts + usize::from(index < total % parts);
+        let quota = |total: usize| quota(total, index, parts);
         Self {
             deadline: self.deadline,
             max_evaluations: self.max_evaluations.map(quota),
             max_unique_evaluations: self.max_unique_evaluations.map(quota),
         }
     }
+}
+
+/// Part `index` of `total` split evenly over `parts`: the first
+/// `total % parts` parts get one more, so the parts sum to `total`.
+fn quota(total: usize, index: usize, parts: usize) -> usize {
+    total / parts + usize::from(index < total % parts)
 }
 
 /// Typed progress events emitted while Algorithm 1 runs.
@@ -284,6 +290,12 @@ pub struct ExploreContext<'a> {
     /// Serializes evaluator-stats snapshot + emission (see
     /// [`emit_evaluator_stats`](Self::emit_evaluator_stats)).
     stats_emit: Mutex<()>,
+    /// `(index, points)` of the design point a per-point view explores;
+    /// `(0, 1)` on the run-wide context.
+    part: (usize, usize),
+    /// Candidate-memo entries stored on this context's behalf (see
+    /// [`claim_memo_slot`](Self::claim_memo_slot)).
+    memo_stored: AtomicUsize,
     /// The run-wide context a per-point view charges through; `None` on the
     /// run-wide context itself.
     run: Option<&'a ExploreContext<'a>>,
@@ -312,6 +324,8 @@ impl<'a> ExploreContext<'a> {
             best: Mutex::new(0.0),
             observed: AtomicU8::new(0),
             stats_emit: Mutex::new(()),
+            part: (0, 1),
+            memo_stored: AtomicUsize::new(0),
             run: None,
         }
     }
@@ -324,6 +338,7 @@ impl<'a> ExploreContext<'a> {
     /// theirs, whatever order they run in.
     pub fn for_point(&'a self, index: usize, points: usize) -> ExploreContext<'a> {
         ExploreContext {
+            part: (index, points),
             run: Some(self),
             ..ExploreContext::new(
                 self.sink,
@@ -381,6 +396,22 @@ impl<'a> ExploreContext<'a> {
     /// Total unique candidate evaluations (memo misses) recorded so far.
     pub fn unique_evaluations(&self) -> usize {
         self.unique_evaluations.load(Ordering::Relaxed)
+    }
+
+    /// Claims one entry of this context's share of a candidate memo with
+    /// `room` free entries; `false` once the share is spent. A point view
+    /// gets its point's even share, so whether a score is memoized (and a
+    /// repeat is a hit, uncharged to the unique budget) depends only on the
+    /// point's own serial scoring, never on how fast other points fill the
+    /// memo.
+    pub(crate) fn claim_memo_slot(&self, room: usize) -> bool {
+        let (index, parts) = self.part;
+        let share = quota(room, index, parts);
+        self.memo_stored
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < share).then_some(n + 1)
+            })
+            .is_ok()
     }
 
     /// Snapshots evaluator throughput counters and emits
@@ -604,6 +635,27 @@ mod tests {
         run.cancel_token().cancel();
         assert!(second.should_stop());
         assert_eq!(run.observed_stop(), Some(StopReason::Cancelled));
+    }
+
+    #[test]
+    fn memo_slots_split_evenly_over_point_views() {
+        let run = ExploreContext::unobserved();
+        let claimed: Vec<usize> = (0..4)
+            .map(|i| {
+                let view = run.for_point(i, 4);
+                std::iter::from_fn(|| view.claim_memo_slot(10).then_some(()))
+                    .take(20)
+                    .count()
+            })
+            .collect();
+        assert_eq!(claimed, vec![3, 3, 2, 2]);
+        // The run-wide context is one part holding the whole room.
+        assert_eq!(
+            std::iter::from_fn(|| run.claim_memo_slot(5).then_some(()))
+                .take(20)
+                .count(),
+            5
+        );
     }
 
     #[test]

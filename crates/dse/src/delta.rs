@@ -55,8 +55,9 @@ use crate::space::DesignPoint;
 /// genes) falls back to the full recomputation.
 const MAX_DELTA_DIFF: usize = 2;
 
-/// Retained breakdowns kept per plan (FIFO eviction). Sized for several EA
-/// generations of every design point sharing a dataflow.
+/// Retained breakdowns kept per plan (FIFO eviction). An EA run releases
+/// its plan when it ends (see [`DeltaEngine::release`]), so this bound only
+/// matters for standalone `score_with_parent` chains that never release.
 const RETAIN_CAP: usize = 4096;
 
 /// Entry bound of the per-plan base-cost memo; once full, further base
@@ -140,6 +141,17 @@ struct PlanKey {
     crossbar: CrossbarConfig,
     dac_bits: u32,
     wt_dup: Arc<Vec<usize>>,
+}
+
+impl PlanKey {
+    fn new(df: &Dataflow, point: DesignPoint, wt_dup: &Arc<Vec<usize>>) -> Self {
+        Self {
+            ratio_bits: point.ratio_rram.to_bits(),
+            crossbar: point.crossbar,
+            dac_bits: df.dac().bits(),
+            wt_dup: Arc::clone(wt_dup),
+        }
+    }
 }
 
 /// One layer's slice of a retained breakdown, packed so the whole candidate
@@ -302,8 +314,9 @@ pub(crate) struct DeltaOutcome {
     pub fallback: bool,
 }
 
-/// The shared delta-rescoring state of one [`CandidateEvaluator`]
-/// (one map entry per design point / dataflow combination).
+/// The shared delta-rescoring state of one [`CandidateEvaluator`]: one
+/// map entry per design point / dataflow combination, held from its first
+/// session until [`release`](Self::release).
 ///
 /// [`CandidateEvaluator`]: crate::CandidateEvaluator
 pub(crate) struct DeltaEngine {
@@ -327,12 +340,7 @@ impl DeltaEngine {
         point: DesignPoint,
         wt_dup: &Arc<Vec<usize>>,
     ) -> DeltaSession<'e, 'c, 'm> {
-        let key = PlanKey {
-            ratio_bits: point.ratio_rram.to_bits(),
-            crossbar: point.crossbar,
-            dac_bits: df.dac().bits(),
-            wt_dup: Arc::clone(wt_dup),
-        };
+        let key = PlanKey::new(df, point, wt_dup);
         let state = self
             .plans
             .lock()
@@ -347,6 +355,26 @@ impl DeltaEngine {
             key,
             state: Some(state),
         }
+    }
+
+    /// Drops the plan state of one `(dataflow, design point)`: an EA run
+    /// calls this when it ends, because no later scoring reads that state
+    /// again. A later session on the same plan rebuilds it from scratch
+    /// (only speed depends on the retained state, never a score).
+    pub(crate) fn release(&self, df: &Dataflow, point: DesignPoint, wt_dup: &Arc<Vec<usize>>) {
+        // Bound first so the state is freed after the lock is released.
+        let released = self
+            .plans
+            .lock()
+            .expect("delta engine")
+            .remove(&PlanKey::new(df, point, wt_dup));
+        drop(released);
+    }
+
+    /// Plans currently held (checked-out sessions not included).
+    #[cfg(test)]
+    pub(crate) fn plan_count(&self) -> usize {
+        self.plans.lock().expect("delta engine").len()
     }
 }
 

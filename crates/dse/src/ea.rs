@@ -403,6 +403,10 @@ pub(crate) fn run_ea_counted(
         population.extend(child_genes.into_iter().zip(child_scores));
         sort_population(&mut population);
     }
+    // The EA's single exit: free this dataflow's delta-engine state now
+    // instead of holding it until the synthesis run ends (an EA over the
+    // same dataflow later would rebuild it, with identical scores).
+    evaluator.release_dataflow(df, point);
 
     let best = population
         .into_iter()
@@ -545,6 +549,51 @@ mod tests {
         .unwrap();
         assert_eq!(a.gene, b.gene);
         assert_eq!(a.fitness, b.fitness);
+    }
+
+    /// An EA run releases its dataflow's delta-engine plan as it ends. A
+    /// second run over the same dataflow rebuilds the plan from scratch:
+    /// same outcome bit for bit, and (with the memo off, so every candidate
+    /// reaches the engine) the same delta work as the first run.
+    #[test]
+    fn ea_runs_release_their_delta_plan_and_repeat_exactly() {
+        let (model, df, point, power, hw) = setup();
+        let eval = CandidateEvaluator::new(
+            &model,
+            power,
+            &hw,
+            MacroMode::Specialized,
+            Objective::PowerEfficiency,
+            EvalCacheConfig::disabled().with_delta(true),
+        );
+        let ctx = ExploreContext::unobserved();
+        let cfg = EaConfig::fast();
+        let (first_evals, first) = run_ea_counted(&df, point, &cfg, &ctx, &eval);
+        let first = first.unwrap();
+        let after_first = eval.stats();
+        assert_eq!(eval.delta_plan_count(), 0);
+        let (second_evals, second) = run_ea_counted(&df, point, &cfg, &ctx, &eval);
+        let second = second.unwrap();
+        let after_second = eval.stats();
+
+        assert_eq!(first_evals, second_evals);
+        assert_eq!(first.gene, second.gene);
+        assert_eq!(first.fitness.to_bits(), second.fitness.to_bits());
+        assert_eq!(first.report, second.report);
+        assert!(after_first.delta_hits > 0);
+        assert_eq!(
+            after_second.delta_hits - after_first.delta_hits,
+            after_first.delta_hits
+        );
+        assert_eq!(
+            after_second.delta_fallbacks - after_first.delta_fallbacks,
+            after_first.delta_fallbacks
+        );
+        assert_eq!(
+            after_second.layers_recomputed - after_first.layers_recomputed,
+            after_first.layers_recomputed
+        );
+        assert_eq!(eval.delta_plan_count(), 0);
     }
 
     #[test]

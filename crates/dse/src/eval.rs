@@ -57,7 +57,9 @@ pub struct EvalCacheConfig {
     pub enabled: bool,
     /// Maximum entries per memo map; once full, new results are returned
     /// without being stored (no eviction, so memory stays bounded and
-    /// resident entries keep hitting).
+    /// resident entries keep hitting). In the candidate memo, the room left
+    /// after a cache-file preload is split evenly over the run's design
+    /// points, each storing only into its own share.
     pub capacity: usize,
     /// Delta (incremental) rescoring: memo misses whose EA parent has a
     /// retained per-layer breakdown recompute only the layers the gene diff
@@ -70,8 +72,12 @@ pub struct EvalCacheConfig {
 }
 
 impl EvalCacheConfig {
-    /// Default capacity: roomy for a paper-scale run while bounding worst-
-    /// case memory (one entry holds a [`CandidateScore`], two words).
+    /// Default capacity, bounding worst-case memory. A candidate-memo
+    /// entry is a [`CandidateKey`] (the gene `Vec<u32>` plus an `Arc` to
+    /// the weight duplication) with a [`CandidateScore`] and a sequence
+    /// number. Paper-effort runs make about a million unique evaluations,
+    /// so the memo fills: each design point spends its share of it within
+    /// its first few EA runs.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// Caching on, default capacity (the default).
@@ -330,6 +336,12 @@ impl<'a> EvalCore<'a> {
     }
 }
 
+/// A dataflow's per-layer weight duplication, shared by every key scored
+/// against it.
+fn wt_dup_of(df: &Dataflow) -> Arc<Vec<usize>> {
+    Arc::new(df.programs().iter().map(|p| p.wt_dup).collect())
+}
+
 /// The candidate memo: scores keyed by canonical candidate, stamped with a
 /// monotonically increasing insertion sequence so flush-time trimming (and
 /// the serialized cache file) can order entries oldest-first.
@@ -569,9 +581,15 @@ impl<'a> CandidateEvaluator<'a> {
         }
     }
 
-    fn store(&self, key: CandidateKey, score: CandidateScore) {
+    /// Memoizes a miss while `ctx` has memo share left. The room left after
+    /// the preload is split evenly over the run's design points (see
+    /// [`ExploreContext::claim_memo_slot`]), so a full memo cannot make a
+    /// budgeted run depend on thread timing; the capacity check bounds
+    /// memory when unrelated contexts share one evaluator.
+    fn store(&self, key: CandidateKey, score: CandidateScore, ctx: &ExploreContext<'_>) {
         let mut memo = self.candidates.lock().expect("candidate memo");
-        if memo.map.len() < self.config.capacity {
+        let room = self.config.capacity.saturating_sub(self.preloaded);
+        if memo.map.len() < self.config.capacity && ctx.claim_memo_slot(room) {
             memo.insert(key, score);
         }
     }
@@ -614,13 +632,13 @@ impl<'a> CandidateEvaluator<'a> {
             self.unique.fetch_add(1, Ordering::Relaxed);
             ctx.count_unique_evaluations(1);
             if let Some(p) = parent {
-                let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
+                let wt_dup = wt_dup_of(df);
                 return self.delta_score_one(df, point, gene, p, &wt_dup);
             }
             let job = EvalJob { df, point, gene };
             return self.backend.score(&self.core, &job);
         }
-        let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
+        let wt_dup = wt_dup_of(df);
         let key = self.make_key(df, point, gene, &wt_dup);
         if let Some(hit) = self.candidates.lock().expect("candidate memo").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -634,7 +652,7 @@ impl<'a> CandidateEvaluator<'a> {
             let job = EvalJob { df, point, gene };
             self.backend.score(&self.core, &job)
         };
-        self.store(key, score);
+        self.store(key, score, ctx);
         score
     }
 
@@ -671,6 +689,20 @@ impl<'a> CandidateEvaluator<'a> {
         let out = session.score(gene, Some(parent.as_slice()));
         self.record_delta(&out);
         out.score
+    }
+
+    /// Frees the delta engine's retained state for `df` at `point`. An EA
+    /// run calls this as it ends: each run explores its own dataflow, so a
+    /// paper-effort synthesis would otherwise hold thousands of dead plans
+    /// until it finishes.
+    pub(crate) fn release_dataflow(&self, df: &Dataflow, point: DesignPoint) {
+        self.delta.release(df, point, &wt_dup_of(df));
+    }
+
+    /// Delta-engine plans currently held.
+    #[cfg(test)]
+    pub(crate) fn delta_plan_count(&self) -> usize {
+        self.delta.plan_count()
     }
 
     /// Scores a whole generation of candidates, returning `(scores,
@@ -724,7 +756,7 @@ impl<'a> CandidateEvaluator<'a> {
         ctx: &ExploreContext<'_>,
     ) -> (Vec<CandidateScore>, usize) {
         let n = genes.len();
-        let wt_dup = Arc::new(df.programs().iter().map(|p| p.wt_dup).collect::<Vec<_>>());
+        let wt_dup = wt_dup_of(df);
         let mut out = vec![CandidateScore::INFEASIBLE; n];
         let mut charged = 0usize;
         // Misses pending backend scoring: the unique key (None with caching
@@ -781,7 +813,7 @@ impl<'a> CandidateEvaluator<'a> {
                 let o = session.score(gene, Some(p.as_slice()));
                 self.record_delta(&o);
                 out[i] = o.score;
-                self.store(key, o.score);
+                self.store(key, o.score, ctx);
                 continue;
             }
             pending_index.insert(key.clone(), pending.len());
@@ -825,7 +857,7 @@ impl<'a> CandidateEvaluator<'a> {
                     out[i] = score;
                 }
                 if let (Some(key), false) = (key, poisoned) {
-                    self.store(key, score);
+                    self.store(key, score, ctx);
                 }
             }
         }
@@ -1391,6 +1423,27 @@ mod tests {
         let reference = plain.score(&df, point, &wide, &ctx);
         assert_eq!(via_delta.fitness.to_bits(), reference.fitness.to_bits());
         assert_eq!(via_delta.feasible, reference.feasible);
+    }
+
+    /// Standalone parent chains keep their plan (and its retained
+    /// breakdowns) across calls until the dataflow is released.
+    #[test]
+    fn parent_chains_keep_their_plan_until_released() {
+        let (model, df, point) = setup();
+        let l = model.weight_layer_count();
+        let hw = HardwareParams::date24();
+        let eval = evaluator(&model, &hw, EvalCacheConfig::default());
+        let ctx = ExploreContext::unobserved();
+        let parent = gene(l, 1);
+        let mut m = vec![1usize; l];
+        m[0] = 2;
+        let child = MacAllocGene::encode(&m, &vec![None; l]);
+        eval.score_with_parent(&df, point, &parent, Some(&parent), &ctx);
+        eval.score_with_parent(&df, point, &child, Some(&parent), &ctx);
+        assert_eq!(eval.stats().delta_hits, 1, "the parent stayed retained");
+        assert_eq!(eval.delta_plan_count(), 1);
+        eval.release_dataflow(&df, point);
+        assert_eq!(eval.delta_plan_count(), 0);
     }
 
     /// Identical macro mode homogenizes counts across layers — delta must

@@ -368,7 +368,6 @@ pub fn run_dse_observed(
     cfg: &DseConfig,
     ctx: &ExploreContext<'_>,
 ) -> Result<DseOutcome, DseError> {
-    let points = cfg.space.points();
     // One evaluator (and memo cache) spans every stage of every design
     // point; worker threads share it by reference. The evaluator composes
     // the configured scoring backend and, when a cache file is configured,
@@ -382,6 +381,18 @@ pub fn run_dse_observed(
         cfg.eval_cache,
         &cfg.backend,
     );
+    run_dse_evaluated(model, cfg, ctx, &evaluator)
+}
+
+/// [`run_dse_observed`] scoring through a caller-provided evaluator, which
+/// is flushed when the exploration ends.
+fn run_dse_evaluated(
+    model: &Model,
+    cfg: &DseConfig,
+    ctx: &ExploreContext<'_>,
+    evaluator: &CandidateEvaluator<'_>,
+) -> Result<DseOutcome, DseError> {
+    let points = cfg.space.points();
     let results: Mutex<Vec<ExploredPoint>> = Mutex::new(Vec::with_capacity(points.len()));
 
     if cfg.parallel && points.len() > 1 {
@@ -400,7 +411,6 @@ pub fn run_dse_observed(
                 let results = &results;
                 let points = &points;
                 let next = &next;
-                let evaluator = &evaluator;
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= points.len() || ctx.should_stop_dispatch() {
@@ -416,7 +426,7 @@ pub fn run_dse_observed(
             if ctx.should_stop_dispatch() {
                 break;
             }
-            let explored = explore_budgeted(model, cfg, &points, i, ctx, &evaluator);
+            let explored = explore_budgeted(model, cfg, &points, i, ctx, evaluator);
             results.lock().expect("result mutex").push(explored);
         }
     }
@@ -515,6 +525,27 @@ mod tests {
         assert_eq!(out.stop_reason, StopReason::Completed);
         out.architecture.validate(&model).unwrap();
         assert_eq!(out.wt_dup.len(), model.weight_layer_count());
+    }
+
+    /// Every EA run releases its dataflow's delta-engine plan as it ends,
+    /// so a finished exploration holds none.
+    #[test]
+    fn finished_exploration_holds_no_delta_plans() {
+        let model = zoo::alexnet_cifar(10);
+        let cfg = tiny_cfg();
+        assert!(!cfg.parallel);
+        let evaluator = CandidateEvaluator::new(
+            &model,
+            cfg.total_power,
+            &cfg.hw,
+            cfg.macro_mode,
+            cfg.ea.objective,
+            cfg.eval_cache,
+        );
+        let ctx = ExploreContext::unobserved();
+        run_dse_evaluated(&model, &cfg, &ctx, &evaluator).unwrap();
+        assert!(evaluator.stats().delta_hits > 0, "the EA must use delta");
+        assert_eq!(evaluator.delta_plan_count(), 0);
     }
 
     #[test]

@@ -466,3 +466,49 @@ fn budgeted_runs_repeat_identically_under_contention() {
         }
     });
 }
+
+/// A unique-evaluation budget charges only memo misses, so which repeats
+/// hit the memo decides each point's spend. With a memo far smaller than
+/// the run (16 entries against a thousand unique evaluations) it fills
+/// early; every design point stores only its own even share of it, so
+/// serial, parallel and concurrently repeated runs still agree exactly.
+#[test]
+fn budgeted_runs_with_a_full_memo_repeat_identically() {
+    let model = zoo::alexnet_cifar(10);
+    let options = SynthesisOptions::fast(Watts(9.0))
+        .with_seed(7)
+        .with_max_unique_evaluations(1000)
+        .with_eval_cache(EvalCacheConfig::default().with_capacity(16));
+    let mut serial = options.clone();
+    serial.parallel = false;
+    let mut parallel = options;
+    parallel.parallel = true;
+    let reference = Synthesizer::new(serial).synthesize(&model).unwrap();
+    assert_eq!(
+        reference.stop_reason,
+        pimsyn::StopReason::UniqueEvaluationBudgetReached
+    );
+    // 32 parallel runs, four at a time, to vary the interleaving.
+    for _ in 0..8 {
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        Synthesizer::new(parallel.clone())
+                            .synthesize(&model)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            for run in runs {
+                let r = run.join().expect("run thread");
+                assert_eq!(r.wt_dup, reference.wt_dup);
+                assert_eq!(r.architecture, reference.architecture);
+                assert_eq!(r.analytic, reference.analytic);
+                assert_eq!(r.evaluations, reference.evaluations);
+                assert_eq!(r.history, reference.history);
+                assert_eq!(r.stop_reason, reference.stop_reason);
+            }
+        });
+    }
+}
