@@ -72,9 +72,9 @@
 //! [`SynthesisService`] runs as a long-lived daemon: a bounded FIFO job
 //! queue drained by concurrent job slots, whose jobs share one remote
 //! worker connection pool (leased and re-sessioned per job) and one warm
-//! evaluation-cache snapshot store. [`serve`] exposes it over a versioned
-//! JSON-lines TCP protocol (`pimsyn serve` / `pimsyn submit|status|result|
-//! cancel|shutdown` on the CLI); [`ServiceClient`] speaks that protocol.
+//! evaluation-cache snapshot store. The `pimsyn-gateway` crate exposes it
+//! over HTTP (`pimsyn gateway`; `pimsyn submit|status|result|cancel|drain`
+//! on the CLI are thin HTTP clients of it).
 //! [`SynthesisEngine::synthesize_batch`] is a thin client of a private
 //! service, so batches get the shared resources for free — transparently:
 //! results stay bit-identical to standalone runs.
@@ -105,11 +105,10 @@ pub use events::{CallbackSink, ChannelSink, CollectingSink, EventSink, NullSink,
 pub use options::{Effort, SynthesisOptions};
 pub use request::SynthesisRequest;
 pub use service::{
-    encode_job_payload, event_to_json, parse_job_payload, serve, serve_in_background,
     serve_registry, serve_registry_in_background, JobHandle, JobStatus, RegistrySnapshot,
-    RegistryWorker, SchedulingPolicy, ServeHandle, ServeOptions, ServiceClient, ServiceConfig,
-    ServiceError, ServiceSnapshot, SynthesisService, TenantCounts, TenantPolicy, WorkerRegistry,
-    DEFAULT_HEARTBEAT_INTERVAL, REGISTRY_PROTOCOL_VERSION, SERVICE_PROTOCOL_VERSION,
+    RegistryWorker, SchedulingPolicy, ServiceConfig, ServiceError, ServiceSnapshot,
+    SynthesisService, TenantCounts, TenantPolicy, WorkerRegistry, DEFAULT_HEARTBEAT_INTERVAL,
+    REGISTRY_PROTOCOL_VERSION,
 };
 pub use summary::SynthesisSummary;
 pub use synthesis::{SynthesisResult, Synthesizer};

@@ -23,11 +23,9 @@
 //! / [`cancel`](JobHandle::cancel) / [`events`](JobHandle::events), built on
 //! the same [`CancelToken`] / [`EventSink`] machinery as the engine.
 //!
-//! The service is also reachable over a socket: [`serve`] runs it behind a
-//! versioned JSON-lines TCP protocol (`submit` / `status` / `events` /
-//! `cancel` / `result` / `shutdown`), and [`ServiceClient`] speaks that
-//! protocol — the `pimsyn serve` / `pimsyn submit|status|result|cancel|
-//! shutdown` CLI subcommands are thin wrappers over the two.
+//! Over the network the service is reached through the HTTP gateway
+//! (`pimsyn-gateway`, `pimsyn gateway` on the CLI); `pimsyn
+//! submit|status|result|cancel|drain` are thin HTTP clients of it.
 //!
 //! # Example
 //!
@@ -48,20 +46,14 @@
 //! service.shutdown();
 //! ```
 
-mod client;
 pub mod registry;
 mod sched;
-mod serve;
-mod wire;
 
-pub use client::ServiceClient;
 pub use registry::{
     serve_registry, serve_registry_in_background, RegistrySnapshot, RegistryWorker, WorkerRegistry,
     DEFAULT_HEARTBEAT_INTERVAL, REGISTRY_PROTOCOL_VERSION,
 };
 pub use sched::SchedulingPolicy;
-pub use serve::{serve, serve_in_background, ServeHandle, ServeOptions};
-pub use wire::{encode_job_payload, event_to_json, parse_job_payload, SERVICE_PROTOCOL_VERSION};
 
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -89,8 +81,9 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// How many *finished* jobs stay addressable by id (their results
     /// fetchable through [`SynthesisService::await_result_by_id`] and the
-    /// socket `result` verb). Beyond this, the oldest finished records are
-    /// dropped — a long-lived daemon must not grow without bound. Live
+    /// gateway's `GET /v1/jobs/{id}/result`). Beyond this, the oldest
+    /// finished records are dropped — a long-lived daemon must not grow
+    /// without bound. Live
     /// [`JobHandle`]s are unaffected by eviction.
     pub finished_retention: usize,
     /// Which policy orders waiting jobs: global FIFO (the default) or
@@ -338,7 +331,8 @@ struct JobWork {
 }
 
 /// Fans one event stream out to several sinks (the handle's channel plus an
-/// optional external sink such as a batch aggregator or a socket log).
+/// optional external sink such as a batch aggregator or the gateway's
+/// event log).
 struct TeeSink {
     sinks: Vec<Arc<dyn EventSink>>,
 }
@@ -525,8 +519,8 @@ impl Inner {
 /// evaluation-cache snapshot store through [`SharedEvalResources`], so N
 /// jobs dial each worker slot at most once and same-fingerprint jobs
 /// warm-start each other. Sharing is transparent: results are bit-identical to standalone
-/// runs. [`serve`] exposes a service over TCP; [`ServiceClient`] is the
-/// matching client (see `docs/PROTOCOLS.md` for the wire format).
+/// runs. The HTTP gateway (`pimsyn-gateway`) exposes a service over the
+/// network (see `docs/PROTOCOLS.md` for its API).
 pub struct SynthesisService {
     inner: Arc<Inner>,
     slots: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -676,16 +670,6 @@ impl SynthesisService {
         cancel: CancelToken,
     ) -> Result<JobHandle, ServiceError> {
         self.submit_inner(request, Some(tag), None, Some(external), Some(cancel))
-    }
-
-    /// Socket-path submission: events are additionally tee'd into
-    /// `external` (the per-job event log the `events` verb replays).
-    pub(crate) fn submit_observed(
-        &self,
-        request: SynthesisRequest,
-        external: Arc<dyn EventSink>,
-    ) -> Result<JobHandle, ServiceError> {
-        self.submit_inner(request, None, None, Some(external), None)
     }
 
     fn submit_inner(
@@ -868,7 +852,8 @@ impl fmt::Debug for JobHandle {
 }
 
 impl JobHandle {
-    /// The service-wide job id (what the socket protocol's verbs address).
+    /// The service-wide job id (what the gateway's `/v1/jobs/{id}` routes
+    /// address).
     pub fn id(&self) -> u64 {
         self.state.id
     }

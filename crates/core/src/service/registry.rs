@@ -1,5 +1,5 @@
 //! The worker registry: dynamic discovery of `pimsyn worker-serve`
-//! daemons by a running `pimsyn serve` / `pimsyn gateway` process.
+//! daemons by a running `pimsyn gateway` process.
 //!
 //! Remote rosters were static before this module: the set of worker
 //! daemons a service scored on was fixed at startup. The registry makes
@@ -485,8 +485,7 @@ impl WorkerDirectory for WorkerRegistry {
 /// Serves the registry's TCP listener, blocking the calling thread: one
 /// connection per announcing worker, JSON lines, closed on drain, EOF,
 /// error or heartbeat silence. Runs until the process exits — the
-/// registry lives exactly as long as the serve/gateway daemon that owns
-/// it.
+/// registry lives exactly as long as the gateway daemon that owns it.
 ///
 /// On startup the actually-bound address is printed to stderr as
 /// `pimsyn worker-registry: listening on <addr>` regardless of the

@@ -346,8 +346,8 @@ pub struct WorkerServeConfig {
     /// <addr>` startup line prints regardless — it is the script-facing
     /// way to learn the bound port when listening on port 0.
     pub quiet: bool,
-    /// A worker registry (`HOST:PORT` of a `pimsyn serve`/`pimsyn gateway`
-    /// started with `--worker-registry`) to announce this daemon to. While
+    /// A worker registry (`HOST:PORT` of a `pimsyn gateway` started with
+    /// `--worker-registry`) to announce this daemon to. While
     /// serving, a background thread keeps the registration alive with
     /// heartbeats and deregisters gracefully when the daemon stops.
     pub announce: Option<String>,

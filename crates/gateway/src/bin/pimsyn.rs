@@ -26,10 +26,11 @@ use std::time::Duration;
 
 use pimsyn::{
     BackendKind, CancelToken, ChannelSink, Effort, EvalCacheConfig, EvaluatorStats, MacroMode,
-    Objective, ServiceClient, ServiceConfig, SynthesisEngine, SynthesisError, SynthesisEvent,
-    SynthesisOptions, SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
+    Objective, ServiceConfig, SynthesisEngine, SynthesisError, SynthesisEvent, SynthesisOptions,
+    SynthesisRequest, SynthesisResult, SynthesisService, SynthesisSummary,
 };
 use pimsyn_arch::Watts;
+use pimsyn_gateway::{encode_http_job, http, timeout_duration};
 use pimsyn_model::json::JsonValue;
 use pimsyn_model::{onnx, zoo, Model};
 
@@ -96,11 +97,6 @@ USAGE:
   pimsyn zoo [--describe <name>] [--validate [<name>]] [--output <text|json>]
   pimsyn export pimsim (--model <name> | --model-file <path>) --power <watts>
                 [--pretty] [--out <path>] [synthesis options]
-  pimsyn serve --listen <host:port> [--job-slots N] [--queue-depth N]
-               [--backend <spec>] [--worker-registry <host:port>]
-               [--remote-token-file <path>]
-               [--eval-cache-file <path>] [--eval-cache-max-entries <n>]
-               [--auth-token-file <path>] [--quiet]
   pimsyn gateway --listen <host:port> [--keys <tenants.json>]
                  [--scheduler <fifo|fair>] [--job-slots N] [--queue-depth N]
                  [--backend <spec>] [--worker-registry <host:port>]
@@ -109,7 +105,7 @@ USAGE:
                  [--quiet]
   pimsyn submit --connect <host:port> --model <name> --power <watts> [options]
   pimsyn status|result|cancel --connect <host:port> --id <job-id>
-  pimsyn shutdown|drain --connect <host:port>
+  pimsyn drain --connect <host:port>
   pimsyn worker-serve --listen <host:port> [--slots N]
                       [--announce <host:port>]
                       [--auth-token-file <path>] [--quiet]
@@ -161,19 +157,13 @@ OPTIONS:
   --quiet               suppress live progress on stderr
   --help                print this message
 
-`pimsyn serve` runs a long-lived synthesis daemon: submitted jobs queue
-behind a bounded FIFO, share one remote worker connection pool and one
-warm evaluation cache, and are addressed by id through the submit/status/
-result/cancel/shutdown subcommands (a versioned JSON-lines TCP protocol).
-The daemon's --backend / --eval-cache-file flags decide where every
-submitted job's scoring runs; submit-side flags describe the job itself.
-With --auth-token-file, every request must carry the shared token (clients
-pass the same flag); `pimsyn drain` stops intake, finishes queued and
-running jobs, and exits the daemon cleanly.
-
-`pimsyn gateway` runs the same daemon behind a plain HTTP/1.1 REST API
-(POST /v1/jobs, GET /v1/jobs/<id>[/result|/events], DELETE /v1/jobs/<id>,
-GET /metrics for Prometheus, POST /v1/drain) — see docs/PROTOCOLS.md.
+`pimsyn gateway` runs a long-lived synthesis daemon behind a plain
+HTTP/1.1 REST API (POST /v1/jobs, GET /v1/jobs/<id>[/result|/events],
+DELETE /v1/jobs/<id>, GET /metrics for Prometheus, POST /v1/drain) — see
+docs/PROTOCOLS.md. Submitted jobs wait in a bounded queue and share one
+remote worker connection pool and one warm evaluation cache; the
+daemon's --backend / --eval-cache-file flags decide where every submitted
+job's scoring runs, while submit-side flags describe the job itself.
 --keys installs per-tenant API keys (Authorization: Bearer), quotas and
 scheduling weights; the scheduler then defaults to weighted-fair
 round-robin across tenants instead of global FIFO (--scheduler overrides
@@ -181,7 +171,15 @@ either way; results are bit-identical under both policies). The keys file
 is re-read whenever it changes on disk, so keys rotate on a live gateway:
 added keys authenticate the very next request, removed keys get 401.
 
-Both daemons accept --worker-registry <host:port>: a second listener where
+`pimsyn submit|status|result|cancel|drain --connect <host:port>` are thin
+HTTP clients of a gateway (POST /v1/jobs, GET /v1/jobs/<id>, GET
+/v1/jobs/<id>/result, DELETE /v1/jobs/<id>, POST /v1/drain). The response
+body goes to stdout; a non-2xx status exits nonzero with the gateway's
+typed JSON error on stdout. --auth-token-file sends the file's key as
+`Authorization: Bearer <key>`. `pimsyn drain` stops intake, finishes
+queued and running jobs, and exits the gateway cleanly.
+
+The gateway accepts --worker-registry <host:port>: a second listener where
 `pimsyn worker-serve --announce` daemons register, heartbeat and
 deregister. Registered workers join the remote scoring fleet dynamically
 (connections persist across jobs); workers that miss heartbeats are
@@ -195,7 +193,7 @@ up to --slots concurrently) serves one worker session for a `--backend
 remote:...` run on another machine. The actually-bound address — including
 the resolved port for --listen HOST:0 — prints to stderr on startup;
 `pimsyn worker-stop` asks the daemon to exit. With --announce the daemon
-registers itself with a `pimsyn serve`/`pimsyn gateway` started with
+registers itself with a `pimsyn gateway` started with
 --worker-registry, heartbeats to stay listed, and deregisters on exit —
 the serving daemon then discovers workers dynamically instead of needing a
 static remote:host:port roster (with --worker-registry and no explicit
@@ -387,20 +385,6 @@ fn parse_args_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Stri
 /// Strictly positive and comparable — rejects NaN alongside zero/negatives.
 fn positive(x: f64) -> bool {
     x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
-}
-
-/// Validates a timeout in seconds into a `Duration`, rejecting NaN, zero,
-/// negatives, and values `Duration::from_secs_f64` would panic on
-/// (infinity / overflow). A year bounds any meaningful synthesis run.
-fn timeout_duration(secs: f64) -> Result<Duration, String> {
-    const MAX_TIMEOUT_SECS: f64 = 365.0 * 24.0 * 3600.0;
-    if !positive(secs) {
-        return Err("must be positive".to_string());
-    }
-    if !secs.is_finite() || secs > MAX_TIMEOUT_SECS {
-        return Err(format!("must be at most {MAX_TIMEOUT_SECS} seconds"));
-    }
-    Ok(Duration::from_secs_f64(secs))
 }
 
 fn parse_effort(s: &str) -> Result<Effort, String> {
@@ -874,87 +858,6 @@ fn run_batch(args: &Args) -> ExitCode {
     }
 }
 
-/// Flags of the `serve` subcommand: where to listen, queue sizing, and the
-/// server-side evaluation policy overlaid onto every submitted job.
-#[derive(Debug, Clone)]
-struct ServeArgs {
-    listen: String,
-    job_slots: Option<usize>,
-    queue_depth: Option<usize>,
-    backend: BackendKind,
-    worker_registry: Option<String>,
-    remote_token_file: Option<String>,
-    eval_cache_file: Option<String>,
-    eval_cache_max_entries: Option<usize>,
-    auth_token_file: Option<String>,
-    quiet: bool,
-}
-
-fn parse_serve_args<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        listen: String::new(),
-        job_slots: None,
-        queue_depth: None,
-        backend: BackendKind::Inline,
-        worker_registry: None,
-        remote_token_file: None,
-        eval_cache_file: None,
-        eval_cache_max_entries: None,
-        auth_token_file: None,
-        quiet: false,
-    };
-    let mut backend_set = false;
-    let mut it = argv.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        let positive = |name: &str, raw: String| -> Result<usize, String> {
-            match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("{name} must be a positive integer")),
-            }
-        };
-        match flag.as_str() {
-            "--listen" => args.listen = value("--listen")?,
-            "--job-slots" => args.job_slots = Some(positive("--job-slots", value("--job-slots")?)?),
-            "--queue-depth" => {
-                args.queue_depth = Some(positive("--queue-depth", value("--queue-depth")?)?)
-            }
-            "--backend" => {
-                args.backend = BackendKind::parse(&value("--backend")?)
-                    .map_err(|e| format!("bad --backend: {e}"))?;
-                backend_set = true;
-            }
-            "--worker-registry" => args.worker_registry = Some(value("--worker-registry")?),
-            "--remote-token-file" => args.remote_token_file = Some(value("--remote-token-file")?),
-            "--eval-cache-file" => args.eval_cache_file = Some(value("--eval-cache-file")?),
-            "--eval-cache-max-entries" => {
-                args.eval_cache_max_entries = Some(positive(
-                    "--eval-cache-max-entries",
-                    value("--eval-cache-max-entries")?,
-                )?)
-            }
-            "--auth-token-file" => args.auth_token_file = Some(value("--auth-token-file")?),
-            "--quiet" | "-q" => args.quiet = true,
-            other => return Err(format!("unknown serve flag `{other}`")),
-        }
-    }
-    if args.listen.is_empty() {
-        return Err("serve requires --listen <host:port>".to_string());
-    }
-    if args.eval_cache_max_entries.is_some() && args.eval_cache_file.is_none() {
-        return Err("--eval-cache-max-entries requires --eval-cache-file".to_string());
-    }
-    resolve_registry_backend(
-        &mut args.backend,
-        backend_set,
-        args.worker_registry.as_deref(),
-    )?;
-    if args.remote_token_file.is_some() && !matches!(args.backend, BackendKind::Remote { .. }) {
-        return Err("--remote-token-file requires --backend remote:host:port[,...]".to_string());
-    }
-    Ok(args)
-}
-
 /// Folds `--worker-registry` into the backend choice: a registry implies
 /// scoring on the announced fleet, so an unset backend becomes a remote
 /// backend with an (initially) empty roster, an explicit remote backend
@@ -1011,79 +914,8 @@ fn start_worker_registry(
     Ok(registry)
 }
 
-fn run_serve(argv: &[String]) -> ExitCode {
-    let args = match parse_serve_args(argv.iter().cloned()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let listener = match std::net::TcpListener::bind(&args.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: cannot listen on {}: {e}", args.listen);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut config = ServiceConfig::default();
-    if let Some(slots) = args.job_slots {
-        config = config.with_job_slots(slots);
-    }
-    if let Some(depth) = args.queue_depth {
-        config = config.with_queue_depth(depth);
-    }
-    let service = std::sync::Arc::new(SynthesisService::new(config));
-    if let Some(registry_listen) = &args.worker_registry {
-        match start_worker_registry(
-            registry_listen,
-            args.remote_token_file.as_deref(),
-            args.quiet,
-        ) {
-            Ok(registry) => service.shared_resources().set_worker_directory(registry),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let overlay_args = args.clone();
-    // Server-side policy: the daemon decides where scoring runs and which
-    // cache file (if any) persists it; clients describe only the job. The
-    // cache policy only applies to jobs that kept the eval cache on: a job
-    // that disabled it has nothing to persist, and forcing a file onto it
-    // would reject an otherwise valid submission.
-    let overlay = move |request: &mut SynthesisRequest| {
-        request.options.backend.kind = overlay_args.backend.clone();
-        request.options.backend.remote_token_file =
-            overlay_args.remote_token_file.as_ref().map(Into::into);
-        if request.options.eval_cache.enabled {
-            if let Some(path) = &overlay_args.eval_cache_file {
-                request.options.backend.cache_file = Some(path.into());
-            }
-            request.options.backend.cache_max_entries = overlay_args.eval_cache_max_entries;
-        }
-    };
-    let mut options = pimsyn::ServeOptions::new().with_quiet(args.quiet);
-    if let Some(path) = &args.auth_token_file {
-        match read_token_file(path) {
-            Ok(token) => options = options.with_token(token),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match pimsyn::serve(listener, service, overlay, options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Flags of the `gateway` subcommand: the serve-side policy flags plus the
+/// Flags of the `gateway` subcommand: where to listen, queue sizing, the
+/// server-side evaluation policy overlaid onto every submitted job, the
 /// tenant keys file and the scheduling policy.
 #[derive(Debug, Clone)]
 struct GatewayArgs {
@@ -1231,8 +1063,11 @@ fn run_gateway(argv: &[String]) -> ExitCode {
         }
     }
     let overlay_args = args.clone();
-    // The same server-side policy overlay as `pimsyn serve`: the daemon
-    // decides where scoring runs and which cache file persists it.
+    // Server-side policy: the daemon decides where scoring runs and which
+    // cache file (if any) persists it; clients describe only the job. The
+    // cache policy only applies to jobs that kept the eval cache on: a job
+    // that disabled it has nothing to persist, and forcing a file onto it
+    // would reject an otherwise valid submission.
     let overlay = move |request: &mut SynthesisRequest| {
         request.options.backend.kind = overlay_args.backend.clone();
         request.options.backend.remote_token_file =
@@ -1446,26 +1281,51 @@ fn split_client_args(argv: &[String], with_id: bool) -> Result<ClientArgs, Strin
     Ok((connect, id, token_file, rest))
 }
 
-/// Prints a protocol reply and maps it to an exit code (`ok: false` replies
-/// — queue full, unknown job, failed job — are structured JSON on stdout
-/// with a non-zero exit).
-fn finish_client(reply: Result<JsonValue, String>) -> ExitCode {
-    match reply {
-        Ok(doc) => {
-            println!("{doc}");
-            if doc.get("ok").and_then(JsonValue::as_bool) == Some(true) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+/// Builds the `POST /v1/jobs` body of `pimsyn submit` from its job flags.
+/// `Err((message, code))` carries the exit code: 2 for argument errors.
+fn submit_body(argv: Vec<String>) -> Result<Vec<u8>, (String, u8)> {
+    let args = match parse_args_from(argv) {
+        Ok(a) if a.batch_file.is_none() => a,
+        Ok(_) => {
+            return Err((
+                format!("submit sends one job; --batch is not supported\n\n{USAGE}"),
+                2,
+            ))
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => return Err((format!("{e}\n\n{USAGE}"), 2)),
+    };
+    // Where scoring runs and which cache file persists it are the
+    // gateway's policy (its own flags); rejecting these beats silently
+    // dropping them from the job body.
+    if args.backend != BackendKind::Inline
+        || args.eval_cache_file.is_some()
+        || args.eval_cache_max_entries.is_some()
+    {
+        return Err((
+            format!(
+                "--backend / --eval-cache-file / --eval-cache-max-entries are daemon \
+                 policy; set them on `pimsyn gateway`, not `pimsyn submit`\n\n{USAGE}"
+            ),
+            2,
+        ));
     }
+    let model = match &args.model {
+        Some(name) => load_named_model(name),
+        None => load_model_file(args.model_file.as_ref().expect("validated")),
+    };
+    model
+        .and_then(|model| {
+            let options = options_from_args(&args, args.power)?;
+            encode_http_job(&SynthesisRequest::new(model, options))
+        })
+        .map(|body| body.to_string().into_bytes())
+        .map_err(|e| (e, 1))
 }
 
+/// Sends the client subcommand's one request to the gateway at
+/// `--connect`. The response body goes to stdout either way; a non-2xx
+/// status (bad key, queue full, unknown job, failed job) exits nonzero
+/// with the gateway's typed JSON error as that body.
 fn run_client(command: &str, argv: &[String]) -> ExitCode {
     let with_id = matches!(command, "status" | "result" | "cancel");
     let (connect, id, token_file, rest) = match split_client_args(argv, with_id) {
@@ -1475,86 +1335,40 @@ fn run_client(command: &str, argv: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut client = ServiceClient::new(connect);
-    if let Some(path) = &token_file {
-        match read_token_file(path) {
-            Ok(token) => client = client.with_token(token),
-            Err(e) => {
+    let token = match token_file.as_deref().map(read_token_file).transpose() {
+        Ok(token) => token,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let id = id.unwrap_or_default();
+    let (method, path, body) = match command {
+        "submit" => match submit_body(rest) {
+            Ok(body) => ("POST", "/v1/jobs".to_string(), body),
+            Err((e, code)) => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(code);
+            }
+        },
+        "status" => ("GET", format!("/v1/jobs/{id}"), Vec::new()),
+        "result" => ("GET", format!("/v1/jobs/{id}/result"), Vec::new()),
+        "cancel" => ("DELETE", format!("/v1/jobs/{id}"), Vec::new()),
+        "drain" => ("POST", "/v1/drain".to_string(), Vec::new()),
+        other => unreachable!("`{other}` is not a client subcommand"),
+    };
+    match http::send(&connect, method, &path, token.as_deref(), &body) {
+        Ok((status, _, body)) => {
+            println!("{}", String::from_utf8_lossy(&body));
+            if (200..300).contains(&status) {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
             }
         }
-    }
-    match command {
-        "submit" => {
-            let args = match parse_args_from(rest) {
-                Ok(a) if a.batch_file.is_none() => a,
-                Ok(_) => {
-                    eprintln!("error: submit sends one job; --batch is not supported\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            // Where scoring runs and which cache file persists it are the
-            // daemon's policy (its own serve flags); rejecting these beats
-            // silently dropping them from the wire format.
-            if args.backend != BackendKind::Inline
-                || args.eval_cache_file.is_some()
-                || args.eval_cache_max_entries.is_some()
-            {
-                eprintln!(
-                    "error: --backend / --eval-cache-file / --eval-cache-max-entries are \
-                     daemon policy; set them on `pimsyn serve`, not `pimsyn submit`\n\n{USAGE}"
-                );
-                return ExitCode::from(2);
-            }
-            let model = match &args.model {
-                Some(name) => load_named_model(name),
-                None => load_model_file(args.model_file.as_ref().expect("validated")),
-            };
-            let request = model
-                .and_then(|model| {
-                    options_from_args(&args, args.power)
-                        .map(|options| SynthesisRequest::new(model, options))
-                })
-                .map_err(|e| e.to_string());
-            match request {
-                Ok(request) => finish_client(client.submit(&request)),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "status" => finish_client(client.status(id.expect("validated"))),
-        "cancel" => finish_client(client.cancel(id.expect("validated"))),
-        "result" => {
-            // On success print only the summary document, so a socket-fetched
-            // result diffs cleanly against a direct `pimsyn --output json` run.
-            match client.result(id.expect("validated")) {
-                Ok(doc) if doc.get("ok").and_then(JsonValue::as_bool) == Some(true) => {
-                    match doc.get("summary") {
-                        Some(summary) => {
-                            println!("{summary}");
-                            ExitCode::SUCCESS
-                        }
-                        None => {
-                            eprintln!("error: reply lacks a summary: {doc}");
-                            ExitCode::FAILURE
-                        }
-                    }
-                }
-                other => finish_client(other),
-            }
-        }
-        "shutdown" => finish_client(client.shutdown()),
-        "drain" => finish_client(client.drain()),
-        other => {
-            eprintln!("error: unknown subcommand `{other}`\n\n{USAGE}");
-            ExitCode::from(2)
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -1869,14 +1683,18 @@ fn run_export(argv: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("serve") => return run_serve(&argv[1..]),
         Some("gateway") => return run_gateway(&argv[1..]),
         Some("worker-serve") => return run_worker_serve(&argv[1..]),
         Some("worker-stop") => return run_worker_stop(&argv[1..]),
         Some("zoo") => return run_zoo(&argv[1..]),
         Some("export") => return run_export(&argv[1..]),
-        Some(cmd @ ("submit" | "status" | "result" | "cancel" | "shutdown" | "drain")) => {
+        Some(cmd @ ("submit" | "status" | "result" | "cancel" | "drain")) => {
             return run_client(cmd, &argv[1..]);
+        }
+        Some(cmd @ ("serve" | "shutdown")) => {
+            let instead = if cmd == "serve" { "gateway" } else { "drain" };
+            eprintln!("error: `pimsyn {cmd}` was removed; use `pimsyn {instead}`\n\n{USAGE}");
+            return ExitCode::from(2);
         }
         _ => {}
     }
@@ -2223,91 +2041,6 @@ mod tests {
         );
     }
 
-    fn parse_serve(args: &[&str]) -> Result<ServeArgs, String> {
-        parse_serve_args(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn serve_args_parse_and_validate() {
-        let args = parse_serve(&[
-            "--listen",
-            "127.0.0.1:7741",
-            "--job-slots",
-            "2",
-            "--queue-depth",
-            "8",
-            "--backend",
-            "remote:127.0.0.1:7801",
-            "--quiet",
-        ])
-        .unwrap();
-        assert_eq!(args.listen, "127.0.0.1:7741");
-        assert_eq!(args.job_slots, Some(2));
-        assert_eq!(args.queue_depth, Some(8));
-        assert_eq!(
-            args.backend,
-            BackendKind::Remote {
-                endpoints: vec!["127.0.0.1:7801".to_string()]
-            }
-        );
-        assert!(args.quiet);
-
-        let err = parse_serve(&[]).unwrap_err();
-        assert!(err.contains("--listen"), "{err}");
-        let err = parse_serve(&["--listen", "x", "--job-slots", "0"]).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        let err = parse_serve(&["--listen", "x", "--frobnicate"]).unwrap_err();
-        assert!(err.contains("unknown serve flag"), "{err}");
-        let err = parse_serve(&["--listen", "x", "--eval-cache-max-entries", "5"]).unwrap_err();
-        assert!(err.contains("--eval-cache-file"), "{err}");
-        let args = parse_serve(&["--listen", "x", "--auth-token-file", "tok.txt"]).unwrap();
-        assert_eq!(args.auth_token_file.as_deref(), Some("tok.txt"));
-    }
-
-    #[test]
-    fn serve_worker_registry_implies_a_remote_backend() {
-        // No explicit backend: the registry fleet is the backend, with an
-        // initially empty roster that announcing workers will grow.
-        let args = parse_serve(&["--listen", "x", "--worker-registry", "127.0.0.1:0"]).unwrap();
-        assert_eq!(args.worker_registry.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(
-            args.backend,
-            BackendKind::Remote {
-                endpoints: Vec::new()
-            }
-        );
-        // An explicit remote backend keeps its static seed endpoints.
-        let args = parse_serve(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--backend",
-            "remote:h:1",
-        ])
-        .unwrap();
-        assert_eq!(
-            args.backend,
-            BackendKind::Remote {
-                endpoints: vec!["h:1".to_string()]
-            }
-        );
-        // The auto-remote backend makes --remote-token-file coherent too.
-        let args = parse_serve(&[
-            "--listen",
-            "x",
-            "--worker-registry",
-            "127.0.0.1:0",
-            "--remote-token-file",
-            "/tmp/tok",
-        ])
-        .unwrap();
-        assert_eq!(args.remote_token_file.as_deref(), Some("/tmp/tok"));
-        // The registry address must look dialable.
-        let err = parse_serve(&["--listen", "x", "--worker-registry", "noport"]).unwrap_err();
-        assert!(err.contains("HOST:PORT"), "{err}");
-    }
-
     fn parse_gateway(args: &[&str]) -> Result<GatewayArgs, String> {
         parse_gateway_args(args.iter().map(|s| s.to_string()))
     }
@@ -2345,8 +2078,12 @@ mod tests {
         assert!(err.contains("unknown gateway flag"), "{err}");
         let err = parse_gateway(&["--listen", "x", "--eval-cache-max-entries", "5"]).unwrap_err();
         assert!(err.contains("--eval-cache-file"), "{err}");
+    }
 
-        // --worker-registry works exactly like on `serve`.
+    #[test]
+    fn gateway_worker_registry_implies_a_remote_backend() {
+        // No explicit backend: the registry fleet is the backend, with an
+        // initially empty roster that announcing workers will grow.
         let args = parse_gateway(&["--listen", "x", "--worker-registry", "127.0.0.1:0"]).unwrap();
         assert_eq!(args.worker_registry.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(
@@ -2355,6 +2092,23 @@ mod tests {
                 endpoints: Vec::new()
             }
         );
+        // An explicit remote backend keeps its static seed endpoints.
+        let args = parse_gateway(&[
+            "--listen",
+            "x",
+            "--worker-registry",
+            "127.0.0.1:0",
+            "--backend",
+            "remote:h:1",
+        ])
+        .unwrap();
+        assert_eq!(
+            args.backend,
+            BackendKind::Remote {
+                endpoints: vec!["h:1".to_string()]
+            }
+        );
+        // An explicitly non-remote backend contradicts the registry.
         let err = parse_gateway(&[
             "--listen",
             "x",
@@ -2365,6 +2119,20 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("--worker-registry"), "{err}");
+        // The auto-remote backend makes --remote-token-file coherent too.
+        let args = parse_gateway(&[
+            "--listen",
+            "x",
+            "--worker-registry",
+            "127.0.0.1:0",
+            "--remote-token-file",
+            "/tmp/tok",
+        ])
+        .unwrap();
+        assert_eq!(args.remote_token_file.as_deref(), Some("/tmp/tok"));
+        // The registry address must look dialable.
+        let err = parse_gateway(&["--listen", "x", "--worker-registry", "noport"]).unwrap_err();
+        assert!(err.contains("HOST:PORT"), "{err}");
     }
 
     fn parse_worker_serve(args: &[&str]) -> Result<WorkerServeArgs, String> {

@@ -5,9 +5,9 @@
 //! optional `Content-Length` body), write one response — either a buffered
 //! body or an unbounded stream (SSE/NDJSON) terminated by closing the
 //! connection. Each connection carries exactly one request; every response
-//! says `Connection: close`, which HTTP/1.1 clients must honor. That
-//! mirrors the service socket protocol's one-request-per-connection model
-//! and keeps the implementation auditable.
+//! says `Connection: close`, which HTTP/1.1 clients must honor. That keeps
+//! the implementation auditable. The client side is just as small:
+//! [`send`] frames one request and [`roundtrip`] exchanges it.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -304,9 +304,33 @@ pub fn escape_label(value: &str) -> String {
 /// map, and the raw response body.
 pub type RoundtripResponse = (u16, HashMap<String, String>, Vec<u8>);
 
+/// Frames one request — `method` on `path`, an optional
+/// `Authorization: Bearer <key>` header and a (possibly empty) body — and
+/// exchanges it with [`roundtrip`]. The `pimsyn submit|status|result|
+/// cancel|drain` clients and the gateway's tests go through this.
+///
+/// # Errors
+///
+/// A message describing the transport or framing failure.
+pub fn send(
+    addr: &str,
+    method: &str,
+    path: &str,
+    bearer: Option<&str>,
+    body: &[u8],
+) -> Result<RoundtripResponse, String> {
+    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n").into_bytes();
+    if let Some(key) = bearer {
+        raw.extend_from_slice(format!("Authorization: Bearer {key}\r\n").as_bytes());
+    }
+    raw.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
+    raw.extend_from_slice(body);
+    roundtrip(addr, &raw)
+}
+
 /// A tiny client-side helper: sends `request` (already HTTP-framed) to a
-/// freshly-connected stream and returns `(status, headers, body)`. Used by
-/// the gateway's own tests and benches; not a general HTTP client.
+/// freshly-connected stream and returns `(status, headers, body)`; not a
+/// general HTTP client.
 ///
 /// # Errors
 ///

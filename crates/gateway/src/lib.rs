@@ -1,9 +1,10 @@
 //! **pimsyn-gateway**: a multi-tenant HTTP/REST front end over
 //! [`pimsyn::SynthesisService`].
 //!
-//! Where `pimsyn serve` speaks a versioned JSON-lines socket protocol to
-//! trusted peers, the gateway speaks plain HTTP/1.1 to anything that can
-//! `curl`: REST job submission and lifecycle, Server-Sent-Events progress
+//! The gateway is the one network front end of the synthesis service. It
+//! speaks plain HTTP/1.1 to anything that can `curl` (and to `pimsyn
+//! submit|status|result|cancel|drain`, which are thin clients of it):
+//! REST job submission and lifecycle, Server-Sent-Events progress
 //! streaming, Prometheus `/metrics`, bearer-token tenancy with per-tenant
 //! quotas, and weighted-fair scheduling across tenants
 //! ([`pimsyn::SchedulingPolicy::WeightedFair`]). The HTTP layer is
@@ -52,7 +53,7 @@ mod server;
 mod tenant;
 
 pub use metrics::MetricsRegistry;
-pub use payload::parse_http_job;
+pub use payload::{encode_http_job, parse_http_job, timeout_duration};
 pub use server::{
     serve_gateway, serve_gateway_in_background, GatewayConfig, GatewayHandle, DEFAULT_HEARTBEAT,
 };

@@ -1,19 +1,20 @@
-//! The `POST /v1/jobs` body format: a human-friendly superset of the
-//! socket protocol's job payload.
+//! The `POST /v1/jobs` body format, in both directions.
 //!
-//! The socket format (`pimsyn::encode_job_payload`) is built for
-//! bit-exactness between trusted peers: every field is mandatory, floats
-//! travel as hex bit patterns, the model is an inline ONNX-style document.
-//! An HTTP front end faces `curl`, so this parser accepts both spellings:
+//! [`parse_http_job`] faces `curl`, so it accepts human-friendly
+//! spellings as well as bit-exact ones:
 //!
 //! - `model` — a zoo name (`"alexnet-cifar"`) *or* an inline ONNX-style
 //!   JSON document (an object, or a string containing one);
-//! - `power` — a JSON number in watts *or* a 16-hex-digit `f64` bit
+//! - `power` / `timeout` — a JSON number *or* a 16-hex-digit `f64` bit
 //!   pattern;
 //! - everything else optional, defaulting exactly like the `pimsyn` CLI
 //!   (effort `fast`, strategy `sa`, objective `eff`, macros
 //!   `specialized`, sharing on, library seed, eval cache on) so a minimal
 //!   HTTP submission is bit-identical to the equivalent CLI run.
+//!
+//! [`encode_http_job`] writes the bit-exact spelling (every field present,
+//! floats as bit patterns, the model inline), which is how `pimsyn submit`
+//! ships a fully-specified request to a gateway.
 //!
 //! Unknown fields are rejected — the repo-wide protocol stance (see
 //! `docs/PROTOCOLS.md`): a typo'd option must fail loudly, not silently
@@ -49,6 +50,42 @@ const KNOWN_FIELDS: [&str; 18] = [
     "eval_cache_capacity",
     "label",
 ];
+
+const EFFORTS: [(&str, Effort); 2] = [("fast", Effort::Fast), ("paper", Effort::Paper)];
+
+const STRATEGIES: [(&str, WtDupStrategy); 3] = [
+    ("sa", WtDupStrategy::SimulatedAnnealing),
+    ("woho", WtDupStrategy::WohoProportional),
+    ("none", WtDupStrategy::NoDuplication),
+];
+
+const OBJECTIVES: [(&str, Objective); 2] = [
+    ("eff", Objective::PowerEfficiency),
+    ("edp", Objective::EnergyDelayProduct),
+];
+
+const MACRO_MODES: [(&str, MacroMode); 2] = [
+    ("specialized", MacroMode::Specialized),
+    ("identical", MacroMode::Identical),
+];
+
+/// Validates a timeout in seconds into a `Duration`, rejecting NaN, zero,
+/// negatives, and values `Duration::from_secs_f64` would panic on
+/// (infinity / overflow). A year bounds any meaningful synthesis run.
+///
+/// # Errors
+///
+/// A message completing "`timeout` …" / "--timeout …".
+pub fn timeout_duration(secs: f64) -> Result<Duration, String> {
+    const MAX_TIMEOUT_SECS: f64 = 365.0 * 24.0 * 3600.0;
+    if secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err("must be positive".to_string());
+    }
+    if !secs.is_finite() || secs > MAX_TIMEOUT_SECS {
+        return Err(format!("must be at most {MAX_TIMEOUT_SECS} seconds"));
+    }
+    Ok(Duration::from_secs_f64(secs))
+}
 
 fn parse_model(value: &JsonValue) -> Result<Model, String> {
     match value {
@@ -162,47 +199,21 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
     // bit.
     let mut options = SynthesisOptions::new(Watts(power))
         .with_effort(match doc.get("effort") {
-            Some(v) => parse_tag(
-                v,
-                "effort",
-                &[("fast", Effort::Fast), ("paper", Effort::Paper)],
-            )?,
+            Some(v) => parse_tag(v, "effort", &EFFORTS)?,
             None => Effort::Fast,
         })
         .with_strategy(match doc.get("strategy") {
-            Some(v) => parse_tag(
-                v,
-                "strategy",
-                &[
-                    ("sa", WtDupStrategy::SimulatedAnnealing),
-                    ("woho", WtDupStrategy::WohoProportional),
-                    ("none", WtDupStrategy::NoDuplication),
-                ],
-            )?,
+            Some(v) => parse_tag(v, "strategy", &STRATEGIES)?,
             None => WtDupStrategy::SimulatedAnnealing,
         })
         .with_objective(match doc.get("objective") {
-            Some(v) => parse_tag(
-                v,
-                "objective",
-                &[
-                    ("eff", Objective::PowerEfficiency),
-                    ("edp", Objective::EnergyDelayProduct),
-                ],
-            )?,
+            Some(v) => parse_tag(v, "objective", &OBJECTIVES)?,
             None => Objective::PowerEfficiency,
         })
-        // `macros` is the CLI spelling, `macro_mode` the socket codec's;
-        // both are accepted so captured socket payloads replay over HTTP.
+        // `macros` is the CLI spelling; `macro_mode` is accepted as an
+        // alias.
         .with_macro_mode(match doc.get("macros").or_else(|| doc.get("macro_mode")) {
-            Some(v) => parse_tag(
-                v,
-                "macros",
-                &[
-                    ("specialized", MacroMode::Specialized),
-                    ("identical", MacroMode::Identical),
-                ],
-            )?,
+            Some(v) => parse_tag(v, "macros", &MACRO_MODES)?,
             None => MacroMode::Specialized,
         });
     if let Some(seed) = doc.get("seed") {
@@ -224,7 +235,8 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
     }
     if let Some(timeout) = doc.get("timeout") {
         let secs = parse_f64_or_bits(timeout, "timeout")?;
-        options = options.with_time_budget(Duration::from_secs_f64(secs));
+        let limit = timeout_duration(secs).map_err(|e| format!("`timeout` {e}"))?;
+        options = options.with_time_budget(limit);
     }
     if let Some(n) = doc.get("max_evals") {
         options = options.with_max_evaluations(parse_usize(n, "max_evals")?);
@@ -260,6 +272,91 @@ pub fn parse_http_job(body: &[u8]) -> Result<SynthesisRequest, String> {
         );
     }
     Ok(request)
+}
+
+/// The tag `table` spells `value` with.
+fn tag_of<T: PartialEq>(table: &[(&'static str, T)], value: &T) -> Option<&'static str> {
+    table.iter().find(|(_, v)| v == value).map(|(tag, _)| *tag)
+}
+
+fn f64_bits(x: f64) -> JsonValue {
+    JsonValue::String(format!("{:016x}", x.to_bits()))
+}
+
+/// Encodes one synthesis request as a `POST /v1/jobs` body that
+/// [`parse_http_job`] reads back to an equal request: every field
+/// present, floats as `f64` bit patterns, the seed as decimal text (u64
+/// seeds do not survive JSON's f64 numbers), the model as an inline
+/// ONNX-style document.
+///
+/// # Errors
+///
+/// A message for request features the body format cannot carry (a pinned
+/// design-space override or fixed duplication vectors).
+pub fn encode_http_job(request: &SynthesisRequest) -> Result<JsonValue, String> {
+    let options = &request.options;
+    if options.space.is_some() {
+        return Err("design-space overrides cannot be submitted to a gateway".to_string());
+    }
+    let strategy = tag_of(&STRATEGIES, &options.strategy)
+        .ok_or("fixed duplication vectors cannot be submitted to a gateway")?;
+    let tag = |table_tag: Option<&str>| JsonValue::String(table_tag.expect("total table").into());
+    let mut fields: Vec<(String, JsonValue)> = vec![
+        (
+            "model".into(),
+            JsonValue::String(onnx::to_json(&request.model)),
+        ),
+        (
+            "hw".into(),
+            JsonValue::String(hardware_config::to_json_exact(&options.hw)),
+        ),
+        ("power".into(), f64_bits(options.power_budget.value())),
+        ("effort".into(), tag(tag_of(&EFFORTS, &options.effort))),
+        ("strategy".into(), JsonValue::String(strategy.into())),
+        (
+            "objective".into(),
+            tag(tag_of(&OBJECTIVES, &options.objective)),
+        ),
+        (
+            "macros".into(),
+            tag(tag_of(&MACRO_MODES, &options.macro_mode)),
+        ),
+        (
+            "sharing".into(),
+            JsonValue::Bool(options.allow_macro_sharing),
+        ),
+        ("parallel".into(), JsonValue::Bool(options.parallel)),
+        ("seed".into(), JsonValue::String(options.seed.to_string())),
+        (
+            "cycle".into(),
+            JsonValue::Number(if options.cycle_validation {
+                options.cycle_images as f64
+            } else {
+                0.0
+            }),
+        ),
+        (
+            "eval_cache".into(),
+            JsonValue::Bool(options.eval_cache.enabled),
+        ),
+        (
+            "eval_cache_capacity".into(),
+            JsonValue::Number(options.eval_cache.capacity as f64),
+        ),
+    ];
+    if let Some(limit) = options.time_budget {
+        fields.push(("timeout".into(), f64_bits(limit.as_secs_f64())));
+    }
+    if let Some(n) = options.max_evaluations {
+        fields.push(("max_evals".into(), JsonValue::Number(n as f64)));
+    }
+    if let Some(n) = options.max_unique_evaluations {
+        fields.push(("max_unique_evals".into(), JsonValue::Number(n as f64)));
+    }
+    if let Some(label) = &request.label {
+        fields.push(("label".into(), JsonValue::String(label.clone())));
+    }
+    Ok(JsonValue::Object(fields))
 }
 
 #[cfg(test)]
@@ -342,16 +439,53 @@ mod tests {
         }
     }
 
+    fn sample_request() -> SynthesisRequest {
+        let options = SynthesisOptions::fast(Watts(9.25))
+            .with_seed(0xDEAD_BEEF_CAFE_F00D)
+            .with_max_evaluations(500)
+            .with_max_unique_evaluations(100)
+            .with_time_budget(Duration::from_secs_f64(1.5))
+            .with_cycle_validation(2);
+        SynthesisRequest::new(zoo::alexnet_cifar(10), options).with_label("wire-test")
+    }
+
+    #[test]
+    fn submit_payload_round_trips_the_request() {
+        let request = sample_request();
+        let encoded = encode_http_job(&request).unwrap().to_string();
+        let back = parse_http_job(encoded.as_bytes()).unwrap();
+        // Options (including the > 2^53 seed and the bit-exact power) and
+        // label survive; model structure survives the ONNX JSON round trip.
+        assert_eq!(back.options, request.options);
+        assert_eq!(back.label, request.label);
+        assert_eq!(back.model.name(), request.model.name());
+        assert_eq!(
+            back.model.weight_layer_count(),
+            request.model.weight_layer_count()
+        );
+    }
+
     #[test]
     fn wire_encoded_payloads_also_parse() {
-        // The strict socket codec's output is valid HTTP-body input, so a
-        // client can replay a captured socket job over HTTP unchanged.
-        let request =
+        // A minimal curl-style body re-encodes to a fully-specified one
+        // that parses back to the same request.
+        let minimal =
             parse_http_job(br#"{"model": "alexnet-cifar", "power": 9, "seed": 11}"#).unwrap();
-        let encoded = pimsyn::encode_job_payload(&request).unwrap().to_string();
+        let encoded = encode_http_job(&minimal).unwrap().to_string();
         let reparsed = parse_http_job(encoded.as_bytes()).unwrap();
+        assert_eq!(reparsed.options, minimal.options);
         assert_eq!(reparsed.options.seed, 11);
         assert_eq!(reparsed.options.power_budget, Watts(9.0));
         assert_eq!(reparsed.options.effort, Effort::Fast);
+    }
+
+    #[test]
+    fn unsupported_requests_are_rejected_at_encode_time() {
+        let mut request = sample_request();
+        request.options.strategy = WtDupStrategy::Fixed(vec![vec![1]]);
+        assert!(encode_http_job(&request).is_err());
+        let mut request = sample_request();
+        request.options.space = Some(pimsyn::DesignSpace::reduced());
+        assert!(encode_http_job(&request).is_err());
     }
 }

@@ -30,8 +30,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pimsyn::{
-    event_to_json, EventSink, JobStatus, ServiceError, SynthesisEvent, SynthesisRequest,
-    SynthesisService, SynthesisSummary,
+    EventSink, JobStatus, ServiceError, SynthesisEvent, SynthesisRequest, SynthesisService,
+    SynthesisSummary,
 };
 use pimsyn_model::json::JsonValue;
 
@@ -218,8 +218,8 @@ impl GatewayShared {
 
 /// Runs the gateway behind `listener` until a `POST /v1/drain` completes,
 /// blocking the calling thread. `configure` overlays server-side policy
-/// (evaluation backend, cache file) onto every submitted request, exactly
-/// like [`pimsyn::serve`]'s overlay.
+/// (evaluation backend, cache file) onto every submitted request; clients
+/// describe only the job.
 ///
 /// On startup the actually-bound address — including the kernel-resolved
 /// port when the listener was bound to port 0 — prints to stderr as
@@ -945,7 +945,7 @@ fn stream_events(
         let mut finished = false;
         for event in &batch {
             finished |= matches!(event, SynthesisEvent::Finished { .. });
-            let json = event_to_json(event);
+            let json = event.to_json();
             let written = if ndjson {
                 writeln!(stream, "{json}")
             } else {

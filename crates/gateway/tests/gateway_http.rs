@@ -7,7 +7,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 
 use pimsyn::{ServiceConfig, SynthesisService, Synthesizer};
-use pimsyn_gateway::http::roundtrip;
+use pimsyn_gateway::http::send;
 use pimsyn_gateway::{
     parse_http_job, serve_gateway_in_background, GatewayConfig, GatewayHandle, TenantRegistry,
 };
@@ -37,15 +37,14 @@ fn request(
     auth: Option<&str>,
     body: Option<&str>,
 ) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: gw\r\n");
-    if let Some(key) = auth {
-        raw.push_str(&format!("Authorization: Bearer {key}\r\n"));
-    }
-    match body {
-        Some(body) => raw.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len())),
-        None => raw.push_str("\r\n"),
-    }
-    roundtrip(addr, raw.as_bytes()).expect("http round trip")
+    send(
+        addr,
+        method,
+        path,
+        auth,
+        body.unwrap_or_default().as_bytes(),
+    )
+    .expect("http round trip")
 }
 
 fn json(body: &[u8]) -> JsonValue {
@@ -508,4 +507,121 @@ fn drain_refuses_new_work_but_finishes_accepted_jobs() {
     let (status, _, _) = get(&addr, &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200);
     handle.join().expect("gateway exits cleanly after drain");
+}
+
+/// Timeouts that `Duration::from_secs_f64` cannot represent (1e20 s, or
+/// infinity spelled as hex bits) and ones beyond the one-year bound are
+/// typed 400 rejections; the connection thread must answer, not panic.
+#[test]
+fn out_of_range_timeouts_are_bad_jobs() {
+    let (handle, addr) = start_gateway(GatewayConfig::new().with_quiet(true), 1);
+    for timeout in ["1e20", r#""7ff0000000000000""#, "3.2e7"] {
+        let body = format!(r#"{{"model": "alexnet-cifar", "power": 9, "timeout": {timeout}}}"#);
+        let (status, _, reply) = request(&addr, "POST", "/v1/jobs", None, Some(&body));
+        assert_eq!(status, 400, "timeout {timeout}");
+        assert_eq!(
+            json(&reply).get("code").and_then(JsonValue::as_str),
+            Some("bad_job"),
+            "timeout {timeout}"
+        );
+    }
+    let (status, _, _) = request(&addr, "POST", "/v1/drain", None, None);
+    assert_eq!(status, 202);
+    handle.join().expect("gateway exits cleanly after drain");
+}
+
+/// `pimsyn submit|status|result|drain --connect` are thin HTTP clients of
+/// the gateway: against a keyed gateway, the CLI-fetched result matches a
+/// direct run (modulo `elapsed_s`), a wrong key exits nonzero with the 401
+/// body on stdout, and `drain` exits 0 and stops the gateway.
+#[test]
+fn cli_client_subcommands_drive_a_keyed_gateway() {
+    let tenants =
+        TenantRegistry::parse(r#"{"tenants": [{"name": "alice", "key": "k-alice"}]}"#).unwrap();
+    let (handle, addr) = start_gateway(
+        GatewayConfig::new().with_tenants(tenants).with_quiet(true),
+        1,
+    );
+    let key_file = |name: &str, key: &str| {
+        let path =
+            std::env::temp_dir().join(format!("pimsyn-cli-{name}-{}.key", std::process::id()));
+        std::fs::write(&path, format!("{key}\n")).unwrap();
+        path
+    };
+    let good = key_file("good", "k-alice");
+    let bad = key_file("bad", "k-eve");
+    let cli = |key: &std::path::Path, args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pimsyn"))
+            .args(args)
+            .args(["--connect", &addr])
+            .arg("--auth-token-file")
+            .arg(key)
+            .output()
+            .expect("run pimsyn");
+        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+        (out.status.code(), stdout)
+    };
+
+    let submit = [
+        "submit",
+        "--model",
+        "alexnet-cifar",
+        "--power",
+        "9",
+        "--seed",
+        "7",
+        "--quiet",
+    ];
+    let (code, out) = cli(&good, &submit);
+    assert_eq!(code, Some(0), "{out}");
+    let id = json(out.as_bytes())
+        .get("id")
+        .and_then(JsonValue::as_usize)
+        .expect("submit reply carries an id")
+        .to_string();
+
+    let (code, out) = cli(&good, &["status", "--id", &id]);
+    assert_eq!(code, Some(0), "{out}");
+    let phase = json(out.as_bytes()).get("status").cloned();
+    assert!(
+        ["queued", "running", "finished"]
+            .contains(&phase.as_ref().and_then(JsonValue::as_str).unwrap()),
+        "{out}"
+    );
+
+    let (code, out) = cli(&good, &["result", "--id", &id]);
+    assert_eq!(code, Some(0), "{out}");
+    let direct_request =
+        parse_http_job(br#"{"model": "alexnet-cifar", "power": 9, "seed": 7}"#).unwrap();
+    let direct = Synthesizer::new(direct_request.options)
+        .synthesize(&direct_request.model)
+        .expect("direct synthesis");
+    let direct = pimsyn::SynthesisSummary::from_result(&direct).to_json();
+    let without_elapsed = |doc: &JsonValue| -> Vec<(String, String)> {
+        doc.as_object()
+            .expect("summary object")
+            .iter()
+            .filter(|(k, _)| k != "elapsed_s")
+            .map(|(k, v)| (k.clone(), v.to_string()))
+            .collect()
+    };
+    assert_eq!(
+        without_elapsed(&json(out.as_bytes())),
+        without_elapsed(&direct),
+        "CLI-fetched result must match the direct run modulo elapsed_s"
+    );
+
+    let (code, out) = cli(&bad, &["status", "--id", &id]);
+    assert_eq!(code, Some(1), "{out}");
+    assert_eq!(
+        json(out.as_bytes()).get("code").and_then(JsonValue::as_str),
+        Some("auth_failed")
+    );
+
+    let (code, out) = cli(&good, &["drain"]);
+    assert_eq!(code, Some(0), "{out}");
+    handle.join().expect("gateway exits cleanly after drain");
+    for path in [good, bad] {
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -304,7 +304,7 @@ use pimsyn::{
 
 /// Starts a worker registry on a loopback port and a synthesis service
 /// whose shared evaluation resources consult it for the remote roster —
-/// the same wiring `pimsyn serve --worker-registry` performs.
+/// the same wiring `pimsyn gateway --worker-registry` performs.
 fn registry_service(interval: Duration) -> (Arc<SynthesisService>, Arc<WorkerRegistry>, String) {
     let registry = WorkerRegistry::new(interval, None, true);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind registry port");
@@ -494,7 +494,7 @@ fn chaos_fleet_is_bit_identical_and_starves_the_slow_worker() {
         killed_addr,
     ];
     // Through the service so the shared pool's fleet snapshot stays
-    // readable after the run — the same wiring `pimsyn serve` uses.
+    // readable after the run — the same wiring `pimsyn gateway` uses.
     let service = Arc::new(SynthesisService::new(ServiceConfig::default()));
     let handle = service
         .submit(SynthesisRequest::new(
